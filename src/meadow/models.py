@@ -23,20 +23,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     InfiniteExhaustiveError,
-    MeadowError,
     NonSquareFreeError,
     NotPrimeError,
     UnboundVariableError,
 )
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, Zero, ZERO, ONE,
-    contains_inv, numeral_value, to_divisive, variables,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, fold,
 )
 
 __all__ = [
@@ -66,6 +64,10 @@ class Sampled:
 
     count: int = 10_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -486,70 +488,78 @@ def model_from_spec(spec: str) -> MeadowModel:
 
 # -- evaluation -------------------------------------------------------------
 
+_CONST, _VAR, _ADD, _MUL, _NEG, _DIV = range(6)
+
+
+def _compile(*terms: Term) -> tuple[list[list], list[int]]:
+    """One program for all the terms: its steps and each term's step.
+
+    Step i is [kind, a, b, dead]: a leaf (_CONST n or _VAR name) or an
+    operation on the values of steps a and b, after which the steps in
+    dead are dropped.  Equal subterms share a step; inv(p) is 1/p.
+    """
+    steps: list[list] = []
+    index: dict[tuple, int] = {}
+    last: dict[int | None, int] = {}    # step -> last step reading it
+
+    def emit(*step) -> int:
+        i = index.setdefault(step, len(steps))
+        if i == len(steps):
+            steps.append([*step, []])
+            if step[0] >= _ADD:
+                last[step[1]] = last[step[2]] = i
+        return i
+
+    ops = {
+        Add: lambda a, b: emit(_ADD, a, b),
+        Mul: lambda a, b: emit(_MUL, a, b),
+        Neg: lambda a: emit(_NEG, a, None),
+        Div: lambda a, b: emit(_DIV, a, b),
+        Inv: lambda a: emit(_DIV, emit(_CONST, 1, None), a),
+    }
+    outputs = [fold(t, lambda node, n: emit(_VAR, node.name, None) if n is None
+                    else emit(_CONST, n, None), ops) for t in terms]
+    for j, i in last.items():
+        if j is not None and j not in outputs:
+            steps[i][3].append(j)
+    return steps, outputs
+
+
+def _run(steps, const, var, add, mul, neg, div) -> list:
+    """Values of all steps, each evaluated once; dropped ones are None."""
+    regs: list = []
+    put = regs.append
+    for kind, a, b, dead in steps:
+        if kind == _MUL:
+            put(mul(regs[a], regs[b]))
+        elif kind == _ADD:
+            put(add(regs[a], regs[b]))
+        elif kind == _DIV:
+            put(div(regs[a], regs[b]))
+        elif kind == _NEG:
+            put(neg(regs[a]))
+        elif kind == _VAR:
+            put(var(a))
+        else:
+            put(const(a))
+        for j in dead:
+            regs[j] = None
+    return regs
+
+
 def eval_term(model: MeadowModel, t: Term,
               assignment: Mapping[str, Any] | None = None):
     """Value of t in the model under the assignment.
 
-    Terms in the inversive signature are translated first, so inv(p)
-    means 1/p.  Unassigned variables raise UnboundVariableError.
+    inv(p) means 1/p.  Unassigned variables raise UnboundVariableError.
     """
-    if contains_inv(t):
-        t = to_divisive(t)
     env = assignment or {}
-
-    def ev(node: Term):
-        n = numeral_value(node)
-        if n is not None:
-            return model.of_int(n)
-        if isinstance(node, One):
-            return model.one
-        if isinstance(node, Var):
-            try:
-                return env[node.name]
-            except KeyError:
-                raise UnboundVariableError(node.name) from None
-        if isinstance(node, Add):
-            return model.add(ev(node.left), ev(node.right))
-        if isinstance(node, Mul):
-            return model.mul(ev(node.left), ev(node.right))
-        if isinstance(node, Neg):
-            return model.neg(ev(node.arg))
-        if isinstance(node, Div):
-            return model.div(ev(node.num), ev(node.den))
-        raise TypeError(f"not a divisive term: {node!r}")
-
-    return ev(t)
-
-
-def _compile_closure(model: MeadowModel, t: Term,
-                     names: Sequence[str]) -> Callable[[tuple], Any]:
-    """t as a closure over a tuple of values ordered like ``names``."""
-    n = numeral_value(t)
-    if n is not None:
-        c = model.of_int(n)
-        return lambda env: c
-    if isinstance(t, One):
-        c = model.one
-        return lambda env: c
-    if isinstance(t, Var):
-        i = names.index(t.name)
-        return lambda env: env[i]
-    if isinstance(t, Add):
-        f, g, op = (_compile_closure(model, t.left, names),
-                    _compile_closure(model, t.right, names), model.add)
-        return lambda env: op(f(env), g(env))
-    if isinstance(t, Mul):
-        f, g, op = (_compile_closure(model, t.left, names),
-                    _compile_closure(model, t.right, names), model.mul)
-        return lambda env: op(f(env), g(env))
-    if isinstance(t, Neg):
-        f, op = _compile_closure(model, t.arg, names), model.neg
-        return lambda env: op(f(env))
-    if isinstance(t, Div):
-        f, g, op = (_compile_closure(model, t.num, names),
-                    _compile_closure(model, t.den, names), model.div)
-        return lambda env: op(f(env), g(env))
-    raise TypeError(f"not a divisive term: {t!r}")
+    steps, (out,) = _compile(t)
+    for kind, a, _, _ in steps:
+        if kind == _VAR and a not in env:
+            raise UnboundVariableError(a)
+    return _run(steps, model.of_int, env.__getitem__,
+                model.add, model.mul, model.neg, model.div)[out]
 
 
 def _op_tables(model: MeadowModel):
@@ -575,64 +585,43 @@ def _op_tables(model: MeadowModel):
     return tables
 
 
-def _eval_indices(model, t: Term, var_arrays: Mapping[str, Any], tables):
-    add, mul, neg, div = tables
-
-    def ev(node: Term):
-        n = numeral_value(node)
-        if n is not None:
-            return model.index_of(model.of_int(n))
-        if isinstance(node, One):
-            return model.index_of(model.one)
-        if isinstance(node, Var):
-            return var_arrays[node.name]
-        if isinstance(node, Add):
-            return add[ev(node.left), ev(node.right)]
-        if isinstance(node, Mul):
-            return mul[ev(node.left), ev(node.right)]
-        if isinstance(node, Neg):
-            return neg[ev(node.arg)]
-        if isinstance(node, Div):
-            return div[ev(node.num), ev(node.den)]
-        raise TypeError(f"not a divisive term: {node!r}")
-
-    return ev(t)
-
-
-def _check_exhaustive(model, lhs, rhs, names):
+def _check_exhaustive(model, steps, left, right, names):
     q = model.size
-    count = q ** len(names)
-    idx = np.arange(count)
-    var_arrays = {
-        name: (idx // q ** (len(names) - 1 - j)) % q
-        for j, name in enumerate(names)
-    }
-    tables = _op_tables(model)
-    left = _eval_indices(model, lhs, var_arrays, tables)
-    right = _eval_indices(model, rhs, var_arrays, tables)
-    mismatch = np.broadcast_to(left != right, (count,))
+    k = len(names)
+    shape = (q,) * k
+    # Variable j varies along axis j only and the table lookups broadcast,
+    # so a subterm's array spans just the variables it contains.
+    axes = {name: np.arange(q).reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
+            for j, name in enumerate(names)}
+    add, mul, neg, div = _op_tables(model)
+    regs = _run(
+        steps, lambda n: model.index_of(model.of_int(n)),
+        axes.__getitem__, lambda a, b: add[a, b], lambda a, b: mul[a, b],
+        neg.__getitem__, lambda a, b: div[a, b],
+    )
+    count = q ** k
+    mismatch = np.broadcast_to(regs[left] != regs[right], shape)
     if not mismatch.any():
         return CheckReport(VALID, None, count)
     # Assignments are enumerated in lexicographic order over the carrier
     # with the first variable most significant, so the first mismatch is
     # the lexicographically least counterexample.
-    first = int(np.argmax(mismatch))
+    first = np.unravel_index(int(np.argmax(mismatch)), shape)
     witness = {
-        name: model.element_at(int(var_arrays[name][first]))
-        for name in names
+        name: model.element_at(int(i)) for name, i in zip(names, first)
     }
     return CheckReport(REFUTED, witness, count)
 
 
-def _check_sampled(model, lhs, rhs, names, strategy: Sampled):
+def _check_sampled(model, steps, left, right, names, strategy: Sampled):
     rng = random.Random(strategy.seed)
-    left = _compile_closure(model, lhs, names)
-    right = _compile_closure(model, rhs, names)
+    consts = {a: model.of_int(a) for kind, a, _, _ in steps if kind == _CONST}
+    ops = model.add, model.mul, model.neg, model.div
     for i in range(strategy.count):
-        env = tuple(model.random_element(rng) for _ in names)
-        if left(env) != right(env):
-            witness = dict(zip(names, env))
-            return CheckReport(REFUTED, witness, i + 1, strategy.seed)
+        env = {name: model.random_element(rng) for name in names}
+        regs = _run(steps, consts.__getitem__, env.__getitem__, *ops)
+        if regs[left] != regs[right]:
+            return CheckReport(REFUTED, env, i + 1, strategy.seed)
     return CheckReport(SAMPLED_OK, None, strategy.count, strategy.seed)
 
 
@@ -646,11 +635,8 @@ def check_eq(model: MeadowModel, lhs: Term, rhs: Term,
     order); sampling yields "sampled_ok" or "refuted" with the first
     failing draw.  Reports are deterministic for fixed inputs.
     """
-    if contains_inv(lhs):
-        lhs = to_divisive(lhs)
-    if contains_inv(rhs):
-        rhs = to_divisive(rhs)
-    names = sorted(set(variables(lhs)) | set(variables(rhs)))
+    steps, (left, right) = _compile(lhs, rhs)
+    names = sorted(a for kind, a, _, _ in steps if kind == _VAR)
     if strategy is None:
         strategy = Exhaustive() if model.is_finite else Sampled()
     if isinstance(strategy, Exhaustive):
@@ -658,9 +644,9 @@ def check_eq(model: MeadowModel, lhs: Term, rhs: Term,
             raise InfiniteExhaustiveError(
                 f"cannot exhaust the carrier of {model.name}"
             )
-        return _check_exhaustive(model, lhs, rhs, names)
+        return _check_exhaustive(model, steps, left, right, names)
     if isinstance(strategy, Sampled):
-        return _check_sampled(model, lhs, rhs, names, strategy)
+        return _check_sampled(model, steps, left, right, names, strategy)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 

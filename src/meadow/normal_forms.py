@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .errors import MixedSignatureError, NotRingTermError, OpenTermError
 from .terms import (
-    Add, Div, Mul, Neg, One, Term, Zero, ZERO,
-    contains_div, contains_inv, is_closed, mk_numeral, numeral_value,
+    Add, Div, Inv, Mul, Neg, One, Term, ZERO,
+    contains_div, contains_inv, fold, is_closed, mk_numeral,
 )
 
 __all__ = [
@@ -204,27 +204,24 @@ def _product(left: list[SignedFraction],
     ]
 
 
-def _basic(t: Term) -> list[SignedFraction]:
-    n = numeral_value(t)
-    if n is not None:
-        if n == 0:
-            return []
-        return [SignedFraction(1 if n > 0 else -1, abs(n), 1)]
-    if isinstance(t, One):
-        return [SignedFraction(1, 1, 1)]
-    if isinstance(t, Add):
-        return _basic(t.left) + _basic(t.right)
-    if isinstance(t, Neg):
-        return [f.negate() for f in _basic(t.arg)]
-    if isinstance(t, Mul):
-        left = _merge_kernels(_basic(t.left))
-        right = _merge_kernels(_basic(t.right))
-        return _merge_kernels(_product(left, right))
-    if isinstance(t, Div):
-        dividend = _merge_kernels(_basic(t.num))
-        divisor = _merge_kernels(_basic(t.den))
-        return _merge_kernels(_product(dividend, _invert(divisor)))
-    raise TypeError(f"not a divisive term: {t!r}")
+def _basic_leaf(node: Term, n: int) -> list[SignedFraction]:
+    return [SignedFraction(1 if n > 0 else -1, abs(n), 1)] if n else []
+
+
+def _no_inverse(arg):
+    raise MixedSignatureError("to_basic expects the binary-division "
+                              "signature; translate inv() away first")
+
+
+_BASIC = {
+    Add: lambda left, right: left + right,
+    Neg: lambda arg: [f.negate() for f in arg],
+    Mul: lambda left, right: _merge_kernels(
+        _product(_merge_kernels(left), _merge_kernels(right))),
+    Div: lambda num, den: _merge_kernels(
+        _product(_merge_kernels(num), _invert(_merge_kernels(den)))),
+    Inv: _no_inverse,
+}
 
 
 def to_basic(p: Term) -> BasicTerm:
@@ -243,31 +240,32 @@ def to_basic(p: Term) -> BasicTerm:
     """
     if not is_closed(p):
         raise OpenTermError("basic forms exist for closed terms only")
-    if contains_inv(p):
-        raise MixedSignatureError(
-            "to_basic expects the binary-division signature; "
-            "translate inv() away first"
-        )
-    return BasicTerm(tuple(_basic(p)))
+    return BasicTerm(tuple(fold(p, _basic_leaf, _BASIC)))
 
 
-def _is_signed_fraction_term(t: Term) -> bool:
-    if isinstance(t, Neg):
-        t = t.arg
-    if not isinstance(t, Div):
-        return False
-    num, den = numeral_value(t.num), numeral_value(t.den)
-    return num is not None and num >= 1 and den is not None and den >= 1
+# is_basic_term folds a term to its shape: the integer of a numeral,
+# "fraction" for n/m with numerals n, m >= 1, "sum" for another basic
+# term, None for one that is not basic.
+_BASIC_SHAPES = (0, "fraction", "sum")
+_SHAPE = {
+    Add: lambda left, right: (
+        "sum" if left in _BASIC_SHAPES and right in _BASIC_SHAPES else None),
+    Neg: lambda arg: "sum" if arg == "fraction" else None,
+    Div: lambda num, den: (
+        "fraction" if type(num) is type(den) is int and num > 0 and den > 0
+        else None),
+    Mul: lambda left, right: None,
+    Inv: lambda arg: None,
+}
 
 
 def is_basic_term(t: Term) -> bool:
     """Whether t is literally a sum built from 0 and signed numeral
     fractions n/m, -(n/m) with n, m >= 1 (any association of +)."""
-    if isinstance(t, Zero):
-        return True
-    if isinstance(t, Add):
-        return is_basic_term(t.left) and is_basic_term(t.right)
-    return _is_signed_fraction_term(t)
+    # the constant 1 is not the numeral 0 + 1
+    shape = fold(t, lambda node, n: None if isinstance(node, One) else n,
+                 _SHAPE)
+    return shape in _BASIC_SHAPES
 
 
 def render_basic(b: BasicTerm) -> str:
@@ -286,21 +284,8 @@ def cr_normal(p: Term) -> int:
     if not is_closed(p):
         raise OpenTermError("no numeral form for open terms")
 
-    def ev(node: Term) -> int:
-        n = numeral_value(node)
-        if n is not None:
-            return n
-        if isinstance(node, One):
-            return 1
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Mul):
-            return ev(node.left) * ev(node.right)
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        raise TypeError(f"not a ring term: {node!r}")
-
-    return ev(p)
+    return fold(p, lambda node, n: n,
+                {Add: int.__add__, Mul: int.__mul__, Neg: int.__neg__})
 
 
 def guard(r: Term) -> Term:

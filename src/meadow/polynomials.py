@@ -18,7 +18,6 @@ sustain, which is the lever several demonstrations use.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -27,8 +26,8 @@ from .errors import (
     InfiniteCarrierError, NotPolynomialError, PremiseFailedError,
 )
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, Zero, ZERO, ONE,
-    mk_numeral, numeral_value,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE,
+    fold, iter_subterms, mk_numeral,
 )
 
 __all__ = [
@@ -164,30 +163,16 @@ def to_canonical(t: Term, var: str) -> UniPoly:
     Pure ring-law expansion with exact integer coefficients, so the
     result evaluates identically to t in every model at every point.
     """
-
-    def conv(node: Term) -> UniPoly:
-        n = numeral_value(node)
-        if n is not None:
-            return UniPoly.constant(var, n)
-        if isinstance(node, One):
-            return UniPoly.constant(var, 1)
-        if isinstance(node, Var):
-            if node.name != var:
-                raise NotPolynomialError(
-                    f"unexpected variable {node.name!r}; polynomial is in {var!r}"
-                )
-            return UniPoly.identity(var)
-        if isinstance(node, Add):
-            return conv(node.left) + conv(node.right)
-        if isinstance(node, Mul):
-            return conv(node.left) * conv(node.right)
-        if isinstance(node, Neg):
-            return -conv(node.arg)
+    for node in iter_subterms(t):
         if isinstance(node, (Div, Inv)):
             raise NotPolynomialError("polynomials are division-free")
-        raise TypeError(f"unexpected node {node!r}")
-
-    return conv(t)
+        if isinstance(node, Var) and node.name != var:
+            raise NotPolynomialError(
+                f"unexpected variable {node.name!r}; polynomial is in {var!r}"
+            )
+    return fold(t, lambda node, n: UniPoly.identity(var) if n is None
+                else UniPoly.constant(var, n),
+                {Add: UniPoly.__add__, Mul: UniPoly.__mul__, Neg: UniPoly.__neg__})
 
 
 def degree_over(model, f: UniPoly) -> int | None:

@@ -19,6 +19,10 @@ any larger literal n parses to mk_numeral(n).  The printer re-sugars
 exactly the shapes that parse back to themselves, so round-tripping is
 structural: parse(print_term(t)) == t.
 
+Parentheses, those of inv(...) included, nest at most 150 deep; deeper
+input raises ParseError.  Long sums, products and runs of unary minus
+have no such bound.
+
 The choice of division syntax is a mode: "/" is only legal under the
 "divisive" signature and "inv(...)" only under "inversive"; using the
 wrong one raises SignatureError rather than ParseError.
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 from .errors import ParseError, SignatureError
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, Zero, ZERO, ONE,
-    mk_numeral, numeral_value, power,
+    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
+    fold, mk_numeral, power,
 )
 
 __all__ = [
@@ -39,6 +43,10 @@ __all__ = [
 # eager expansion would dominate memory, so refuse early.
 _MAX_LITERAL = 100_000
 
+# Each open "(" costs the parser four stack frames; the bound leaves room
+# for the caller's frames below the default recursion limit of 1000.
+_MAX_NESTING = 150
+
 _SYMBOLS = "+-*/^()"
 
 
@@ -46,6 +54,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     tokens = []
     line, col = 1, 1
     i, n = 0, len(text)
+    depth = 0
     while i < n:
         c = text[i]
         if c == "\n":
@@ -58,6 +67,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             i += 1
             continue
         if c in _SYMBOLS:
+            depth += (c == "(") - (c == ")")
+            if depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{_MAX_NESTING}", line, col, found=c)
             tokens.append((c, c, line, col))
             col += 1
             i += 1
@@ -139,14 +152,17 @@ class _Parser:
         return t
 
     def unary(self) -> Term:
-        if self.peek()[0] == "-":
+        negations = 0
+        while self.peek()[0] == "-":
             self.advance()
-            return Neg(self.unary())
+            negations += 1
         t = self.atom()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
             t = power(t, self._literal_value(tok))
+        for _ in range(negations):
+            t = Neg(t)
         return t
 
     def _literal_value(self, tok) -> int:
@@ -209,57 +225,48 @@ _LEVEL_MUL = 2
 _LEVEL_NEG = 3
 _LEVEL_ATOM = 4
 
-
-def _literal(t: Term) -> str | None:
-    """Literal spelling for t when re-parsing that spelling rebuilds t."""
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    n = numeral_value(t)
-    if n is not None and n >= 2:
-        return str(n)
-    return None
+# A rendered subterm is (level, text, negated): text is a string or a
+# tuple of texts, joined once at the end so that deep terms print in
+# linear time; negated renders the argument of a unary minus.
 
 
-def _level(t: Term) -> int:
-    if _literal(t) is not None:
-        return _LEVEL_ATOM
-    if isinstance(t, Add):
-        return _LEVEL_ADD
-    if isinstance(t, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(t, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
+def _fmt(r, min_level: int):
+    return r[1] if r[0] >= min_level else ("(", r[1], ")")
 
 
-def _fmt(t: Term, min_level: int) -> str:
-    inner = _render(t)
-    if _level(t) < min_level:
-        return f"({inner})"
-    return inner
+def _neg(r):
+    return _LEVEL_NEG, ("-", _fmt(r, _LEVEL_NEG)), r
 
 
-def _render(t: Term) -> str:
-    lit = _literal(t)
-    if lit is not None:
-        return lit
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Add):
-        if isinstance(t.right, Neg):
-            return f"{_fmt(t.left, _LEVEL_ADD)} - {_fmt(t.right.arg, _LEVEL_MUL)}"
-        return f"{_fmt(t.left, _LEVEL_ADD)} + {_fmt(t.right, _LEVEL_MUL)}"
-    if isinstance(t, Mul):
-        return f"{_fmt(t.left, _LEVEL_MUL)}*{_fmt(t.right, _LEVEL_NEG)}"
-    if isinstance(t, Div):
-        return f"{_fmt(t.num, _LEVEL_MUL)}/{_fmt(t.den, _LEVEL_NEG)}"
-    if isinstance(t, Neg):
-        return f"-{_fmt(t.arg, _LEVEL_NEG)}"
-    if isinstance(t, Inv):
-        return f"inv({_fmt(t.arg, 0)})"
-    raise TypeError(f"not a term: {t!r}")
+def _render_leaf(node, n):
+    # a literal is spelled when parsing the spelling rebuilds the node
+    if n is None:
+        return _LEVEL_ATOM, node.name, None
+    if n < 0:
+        return _neg(_render_leaf(None, -n))
+    if n == 1 and not isinstance(node, One):  # the numeral 0 + 1
+        return _LEVEL_ADD, "0 + 1", None
+    return _LEVEL_ATOM, str(n), None
+
+
+def _add(left, right):
+    sign, right = (" + ", right) if right[2] is None else (" - ", right[2])
+    return _LEVEL_ADD, (_fmt(left, _LEVEL_ADD), sign,
+                        _fmt(right, _LEVEL_MUL)), None
+
+
+def _product(sign):
+    return lambda left, right: (_LEVEL_MUL, (
+        _fmt(left, _LEVEL_MUL), sign, _fmt(right, _LEVEL_NEG)), None)
+
+
+_RENDER = {
+    Add: _add,
+    Mul: _product("*"),
+    Div: _product("/"),
+    Neg: _neg,
+    Inv: lambda arg: (_LEVEL_ATOM, ("inv(", arg[1], ")"), None),
+}
 
 
 def print_term(t: Term) -> str:
@@ -269,31 +276,43 @@ def print_term(t: Term) -> str:
     numeral subtrees re-sugared to integer literals.  No parenthesis pair
     in the output can be dropped without changing the parse.
     """
-    return _fmt(t, 0)
+    out, stack = [], [fold(t, _render_leaf, _RENDER)[1]]
+    while stack:
+        text = stack.pop()
+        if isinstance(text, str):
+            out.append(text)
+        else:
+            stack.extend(reversed(text))
+    return "".join(out)
+
+
+def _data_leaf(node, n):
+    if n is None:
+        return {"node": "var", "name": node.name}
+    if isinstance(node, One):
+        return {"node": "one"}
+    data = {"node": "zero"}
+    for _ in range(abs(n)):
+        data = {"node": "add", "left": data, "right": {"node": "one"}}
+    return {"node": "neg", "arg": data} if n < 0 else data
+
+
+_DATA = {
+    Add: lambda left, right: {"node": "add", "left": left, "right": right},
+    Mul: lambda left, right: {"node": "mul", "left": left, "right": right},
+    Neg: lambda arg: {"node": "neg", "arg": arg},
+    Div: lambda num, den: {"node": "div", "num": num, "den": den},
+    Inv: lambda arg: {"node": "inv", "arg": arg},
+}
 
 
 def term_to_data(t: Term):
-    """Plain-data (JSON-ready) encoding of a term tree."""
-    if isinstance(t, Zero):
-        return {"node": "zero"}
-    if isinstance(t, One):
-        return {"node": "one"}
-    if isinstance(t, Var):
-        return {"node": "var", "name": t.name}
-    if isinstance(t, Add):
-        return {"node": "add", "left": term_to_data(t.left),
-                "right": term_to_data(t.right)}
-    if isinstance(t, Mul):
-        return {"node": "mul", "left": term_to_data(t.left),
-                "right": term_to_data(t.right)}
-    if isinstance(t, Neg):
-        return {"node": "neg", "arg": term_to_data(t.arg)}
-    if isinstance(t, Div):
-        return {"node": "div", "num": term_to_data(t.num),
-                "den": term_to_data(t.den)}
-    if isinstance(t, Inv):
-        return {"node": "inv", "arg": term_to_data(t.arg)}
-    raise TypeError(f"not a term: {t!r}")
+    """Plain-data (JSON-ready) encoding of a term tree.
+
+    A subterm occurring several times as the same object is encoded as
+    one shared dict.
+    """
+    return fold(t, _data_leaf, _DATA)
 
 
 def term_from_data(data) -> Term:

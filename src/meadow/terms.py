@@ -6,14 +6,18 @@ binary division (the divisive signature) or unary inverse (the inversive
 signature).  Terms that mix the two primitives are rejected by the
 operations that care.
 
-Structural equality and hashing are derived, so terms can be compared and
-used as dictionary keys directly.  Operators +, -, * and / are overloaded
-for convenience; they build trees, they never compute.
+Every structural induction over a term goes through ``fold``, one
+iterative post-order walk, so terms nested 10^5 deep are safe there.
+Structural equality and hashing are derived by the dataclasses, and
+recursive: terms compare and serve as dictionary keys directly, below
+the recursion limit.  Operators +, -, * and / are overloaded for
+convenience; they build trees, they never compute.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import MixedSignatureError
 
@@ -24,7 +28,7 @@ __all__ = [
     "iter_subterms", "contains_div", "contains_inv", "is_divisive",
     "is_inversive", "is_closed", "variables",
     "is_fraction", "is_simple_fraction", "wrap_as_fraction",
-    "substitute", "to_inversive", "to_divisive",
+    "fold", "substitute", "to_inversive", "to_divisive",
 ]
 
 
@@ -213,21 +217,86 @@ def wrap_as_fraction(t: Term) -> Div:
     return Div(t, ONE)
 
 
+def fold(t: Term, leaf: Callable[[Term, int | None], Any],
+         ops: Mapping[type, Callable[..., Any]]) -> Any:
+    """Structural induction over t, bottom-up and without recursion.
+
+    ``leaf(node, n)`` folds a leaf: a numeral chain, handed over whole,
+    or the constant 1, with n the integer it denotes, or a variable, with
+    n None.  ``ops[type(node)]`` folds any other node from its children's
+    folds, in field order.  Numerals are found in linear time.  A subterm
+    occurring several times as the same object is folded once, and each
+    folded value is dropped after its last use.
+    """
+    # Pass 1 plans each distinct node once, children first, as (None,
+    # node, n) or (op, a, b), a and b being the children's positions.  A
+    # stack entry's flag is the node's children once they are planned;
+    # before, True marks a p + 1 step whose + 1 chain does not start at 0.
+    plan: list[tuple[Any, Any, Any]] = []
+    where: dict[int, int] = {}
+    last: dict[int | None, int] = {}    # position -> its last parent's
+    stack: list[tuple[Term, Any]] = [(t, False)]
+    while stack:
+        node, flag = stack.pop()
+        cls = node.__class__
+        if flag.__class__ is tuple:
+            a = where[id(flag[0])]
+            b = where[id(flag[1])] if len(flag) == 2 else None
+            last[a] = last[b] = len(plan)
+            entry = ops[cls], a, b
+        elif id(node) in where:
+            continue
+        else:
+            n = 1 if cls is One else 0 if cls is Zero else None
+            head = node.arg if cls is Neg else node
+            if not flag and head.__class__ is Add and head.right.__class__ is One:
+                count, base = 0, head
+                while base.__class__ is Add and base.right.__class__ is One:
+                    count, base = count + 1, base.left
+                if base.__class__ is Zero:
+                    n = count if head is node else -count
+                flag = n is None
+            if n is None and cls is not Var:
+                if cls not in _CHILDREN:
+                    raise TypeError(f"not a term: {node!r}")
+                kids = _CHILDREN[cls](node)
+                stack.append((node, kids))
+                if len(kids) == 2:
+                    stack.append((kids[1], False))
+                first = kids[0]
+                stack.append((first, flag and first.__class__ is Add
+                              and first.right.__class__ is One))
+                continue
+            entry = None, node, n
+        where[id(node)] = len(plan)
+        plan.append(entry)
+
+    # Pass 2 folds in plan order, dropping each value after its last use.
+    values: list[Any] = [None] * len(plan)
+    for i, (op, a, b) in enumerate(plan):
+        if op is None:
+            values[i] = leaf(a, b)
+            continue
+        values[i] = op(values[a]) if b is None else op(values[a], values[b])
+        if last[a] == i:
+            values[a] = None
+        if b is not None and last[b] == i:
+            values[b] = None
+    return values[-1]
+
+
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
+    Add: attrgetter("left", "right"), Mul: attrgetter("left", "right"),
+    Div: attrgetter("num", "den"),
+    Neg: lambda t: (t.arg,), Inv: lambda t: (t.arg,),
+}
+_REBUILD = {cls: cls for cls in (Add, Mul, Neg, Div, Inv)}
+
+
 def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
     """Simultaneous replacement of variables; unfamiliar names are kept."""
-    if isinstance(t, Var):
-        return binding.get(t.name, t)
-    if isinstance(t, Add):
-        return Add(substitute(t.left, binding), substitute(t.right, binding))
-    if isinstance(t, Mul):
-        return Mul(substitute(t.left, binding), substitute(t.right, binding))
-    if isinstance(t, Neg):
-        return Neg(substitute(t.arg, binding))
-    if isinstance(t, Div):
-        return Div(substitute(t.num, binding), substitute(t.den, binding))
-    if isinstance(t, Inv):
-        return Inv(substitute(t.arg, binding))
-    return t
+    return fold(t, lambda node, n: node if n is not None
+                else binding.get(node.name, node), _REBUILD)
 
 
 def to_inversive(t: Term) -> Term:
@@ -236,19 +305,8 @@ def to_inversive(t: Term) -> Term:
     The input must be purely divisive; mixing signatures is an error.
     """
     _require_divisive(t)
-    return _to_inversive(t)
-
-
-def _to_inversive(t: Term) -> Term:
-    if isinstance(t, Div):
-        return Mul(_to_inversive(t.num), Inv(_to_inversive(t.den)))
-    if isinstance(t, Add):
-        return Add(_to_inversive(t.left), _to_inversive(t.right))
-    if isinstance(t, Mul):
-        return Mul(_to_inversive(t.left), _to_inversive(t.right))
-    if isinstance(t, Neg):
-        return Neg(_to_inversive(t.arg))
-    return t
+    return fold(t, lambda node, n: node,
+                {**_REBUILD, Div: lambda p, q: Mul(p, Inv(q))})
 
 
 def to_divisive(t: Term) -> Term:
@@ -258,16 +316,5 @@ def to_divisive(t: Term) -> Term:
     """
     if contains_div(t):
         raise MixedSignatureError("term contains binary division")
-    return _to_divisive(t)
-
-
-def _to_divisive(t: Term) -> Term:
-    if isinstance(t, Inv):
-        return Div(ONE, _to_divisive(t.arg))
-    if isinstance(t, Add):
-        return Add(_to_divisive(t.left), _to_divisive(t.right))
-    if isinstance(t, Mul):
-        return Mul(_to_divisive(t.left), _to_divisive(t.right))
-    if isinstance(t, Neg):
-        return Neg(_to_divisive(t.arg))
-    return t
+    return fold(t, lambda node, n: node,
+                {**_REBUILD, Inv: lambda p: Div(ONE, p)})

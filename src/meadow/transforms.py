@@ -32,9 +32,8 @@ from .models import GaloisMeadow, eval_term, q0
 from .normal_forms import to_basic
 from .polynomials import MultiPoly
 from .terms import (
-    Add, Div, Mul, Neg, One, Term, Var, Zero, ZERO, ONE,
-    contains_div, contains_inv, is_closed, mk_numeral, numeral_value,
-    power, to_divisive, wrap_as_fraction,
+    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
+    contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
 )
 
 __all__ = [
@@ -158,34 +157,22 @@ def eliminate_division(model, t: Term) -> Term:
     Innermost first, each p/q becomes p * q**e with e = 2(n-m)-1 from
     the model's exponent pair; e = 1 drops the power wrapper, and a
     dividend of exactly 1 drops the product, so the common shapes stay
-    readable.  Terms using the unary-inverse signature are translated
-    on the way in.
+    readable.  inv(q) is read as 1/q.
     """
     if not model.is_finite:
         raise InfiniteCarrierError(
             f"cannot eliminate division over {model.name}"
         )
-    if contains_inv(t):
-        t = to_divisive(t)
     pair = find_annihilating_exponents(model)
     e = 2 * (pair.n - pair.m) - 1
 
-    def walk(node: Term) -> Term:
-        if not contains_div(node):
-            return node
-        if isinstance(node, Add):
-            return Add(walk(node.left), walk(node.right))
-        if isinstance(node, Mul):
-            return Mul(walk(node.left), walk(node.right))
-        if isinstance(node, Neg):
-            return Neg(walk(node.arg))
-        assert isinstance(node, Div)
-        num = walk(node.num)
-        den = walk(node.den)
+    def quotient(num: Term, den: Term) -> Term:
         body = den if e == 1 else power(den, e)
-        return body if num == ONE else Mul(num, body)
+        return body if isinstance(num, One) else Mul(num, body)
 
-    return walk(t)
+    return fold(t, lambda node, n: node, {
+        Add: Add, Mul: Mul, Neg: Neg,
+        Div: quotient, Inv: lambda den: quotient(ONE, den)})
 
 
 def to_simple_fraction_finite(model, t: Term) -> Term:
@@ -285,34 +272,20 @@ def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
         )
     one = MultiPoly.constant(1)
 
-    def walk(node: Term) -> list[tuple[MultiPoly, MultiPoly]]:
-        n = numeral_value(node)
-        if n is not None:
-            if n == 0:
-                return []
-            return [(MultiPoly.constant(n), one)]
-        if isinstance(node, One):
-            return [(one, one)]
-        if isinstance(node, Var):
-            return [(MultiPoly.variable(node.name), one)]
-        if isinstance(node, Add):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Neg):
-            return [(-f, g) for f, g in walk(node.arg)]
-        if isinstance(node, Mul):
-            left, right = walk(node.left), walk(node.right)
-            return [(f1 * f2, g1 * g2) for f1, g1 in left for f2, g2 in right]
-        if isinstance(node, Div):
-            dividend = walk(node.num)
-            inverted = _invert_fraction_list(walk(node.den))
-            return [
-                (f1 * f2, g1 * g2)
-                for f1, g1 in dividend
-                for f2, g2 in inverted
-            ]
-        raise TypeError(f"not a divisive term: {node!r}")
+    def leaf(node: Term, n: int | None) -> list[tuple[MultiPoly, MultiPoly]]:
+        f = MultiPoly.variable(node.name) if n is None else MultiPoly.constant(n)
+        return [] if f.is_zero else [(f, one)]
 
-    summands = [(f, g) for f, g in walk(t) if not f.is_zero]
+    def product(left, right) -> list[tuple[MultiPoly, MultiPoly]]:
+        return [(f1 * f2, g1 * g2) for f1, g1 in left for f2, g2 in right]
+
+    fractions = fold(t, leaf, {
+        Add: lambda left, right: left + right,
+        Neg: lambda arg: [(-f, g) for f, g in arg],
+        Mul: product,
+        Div: lambda num, den: product(num, _invert_fraction_list(den)),
+    })
+    summands = [(f, g) for f, g in fractions if not f.is_zero]
     return SumOfSimpleFractions(tuple(summands))
 
 

@@ -60,6 +60,11 @@ class TestParse:
         assert code == 2
         assert "error:" in err
 
+    def test_nesting_past_the_bound_is_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "parse", "(" * 2000 + "x" + ")" * 2000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses nested deeper than")
+
     def test_json_includes_tree(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "x", "--format", "json")
         payload = json.loads(out)
@@ -99,6 +104,16 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--model", "q0", "x = x",
                                "--strategy", "exhaustive")
         assert code == 2
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sample_count_below_one_is_domain_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "check", "x = x+1", "--samples", count)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_deep_power(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "x^2000 = x^2", "--model", "mk:7")
+        assert (code, out) == (0, "Valid\nchecked 7 assignments exhaustively\n")
 
     def test_json_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--model", "mk:2",
@@ -152,6 +167,13 @@ class TestSimplify:
         lines = out.splitlines()
         assert lines[0] == "x/1"
         assert lines[1] == "Valid"
+
+    def test_reciprocal_exponent_499(self, capsys):
+        # 1/x becomes x^499 over mk:251, and 1/(1/x) a power of that power
+        code, out, _ = run_cli(capsys, "simplify", "1/(1/x)", "--model", "mk:251")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "Valid", "checked 251 assignments exhaustively"]
 
     def test_sum_of_fractions_target(self, capsys):
         code, out, _ = run_cli(capsys, "simplify", "--target",

@@ -5,7 +5,8 @@ import pytest
 from meadow import (
     Add, Div, Inv, Mul, ONE, Var, ZERO,
     CheckReport, Exhaustive, InfiniteExhaustiveError, NonSquareFreeError,
-    NotPrimeError, REFUTED, SAMPLED_OK, Sampled, UnboundVariableError, VALID,
+    NotPrimeError, REFUTED, RationalMeadow, SAMPLED_OK, Sampled,
+    UnboundVariableError, VALID,
     characteristic, check_eq, crt_decompose, derived_division_identities,
     division_axioms, eval_term, gf, inverse_axioms, mk, mk_numeral,
     model_from_spec, parse, q0, ring_axioms,
@@ -228,6 +229,29 @@ class TestCheckEq:
     def test_inv_sides_are_translated(self, m6):
         report = check_eq(m6, Inv(Inv(x)), x)
         assert report.verdict == VALID
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sampled_rejects_counts_below_one(self, count):
+        with pytest.raises(ValueError):
+            Sampled(count)
+
+    def test_equal_subterms_are_evaluated_once(self):
+        calls = []
+
+        class Counting(RationalMeadow):
+            def mul(self, a, b):
+                calls.append((a, b))
+                return a * b
+
+        model = Counting()
+        cube = parse("x*x*x")
+        assert eval_term(model, Add(cube, parse("x*x*x")), {"x": 2}) == 16
+        assert len(calls) == 2
+        calls.clear()
+        report = check_eq(model, Add(cube, ONE), Add(ONE, parse("x*x*x")),
+                          Sampled(3))
+        assert report.verdict == SAMPLED_OK
+        assert len(calls) == 2 * 3
 
 
 class TestCharacteristic:

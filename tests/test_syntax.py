@@ -4,7 +4,8 @@ import pytest
 
 from meadow import (
     Add, Div, Inv, Mul, Neg, ONE, ParseError, SignatureError, Var, ZERO,
-    mk_numeral, parse, power, print_term, term_from_data, term_to_data,
+    eval_term, mk_numeral, parse, power, print_term, q0, term_from_data,
+    term_to_data,
 )
 
 from gen import random_term
@@ -77,6 +78,20 @@ class TestParse:
         # structural == would recurse once per node
         from meadow import numeral_value
         assert numeral_value(parse("100000")) == 100_000
+
+    def test_nesting_bound(self):
+        from meadow.syntax import _MAX_NESTING as n
+        assert parse("(" * n + "x" + ")" * n) == x
+        text = "inv(" * n + "x" + ")" * n
+        assert print_term(parse(text, "inversive")) == text
+        with pytest.raises(ParseError) as err:
+            parse("(" * 2000 + "x" + ")" * 2000)
+        assert (err.value.line, err.value.column) == (1, n + 1)
+
+    def test_long_run_of_unary_minus(self):
+        t = parse("-" * 100_000 + "x")
+        assert eval_term(q0(), t, {"x": 3}) == 3
+        assert eval_term(q0(), parse("-" * 99_999 + "x"), {"x": 3}) == -3
 
     def test_whitespace_and_lines(self):
         assert parse(" x +\n y ") == Add(x, y)
