@@ -100,9 +100,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+class _Json(str):
+    """Text that is already JSON."""
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True, separators=(",", ":")), with an
+    explicit stack so deep term trees encode like shallow ones."""
+    out, todo = [], [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (dict, list, tuple)):
+            keyed = isinstance(v, dict)
+            items = sorted(v.items()) if keyed else [(None, x) for x in v]
+            todo.append(_Json("}" if keyed else "]"))
+            for n, (key, x) in reversed(list(enumerate(items))):
+                label = json.dumps(key) + ":" if keyed else ""
+                todo += [x, _Json("," * (n > 0) + label)]
+            todo.append(_Json("{" if keyed else "["))
+        else:
+            out.append(v if isinstance(v, _Json) else json.dumps(v))
+    return "".join(out)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -128,13 +151,11 @@ def _strategy_from(args, model):
 
 
 def _report_payload(model, report) -> dict:
-    ce = None
-    if report.counterexample is not None:
-        ce = {name: model.format_element(v)
-              for name, v in sorted(report.counterexample.items())}
+    ce = report.counterexample
     return {
         "verdict": report.verdict,
-        "counterexample": ce,
+        "counterexample": None if ce is None else {
+            name: model.format_element(v) for name, v in sorted(ce.items())},
         "evaluations": report.evaluations,
         "seed": report.seed,
     }
@@ -146,12 +167,10 @@ def _report_lines(model, report) -> list[str]:
         lines.append(f"checked {report.evaluations} assignments exhaustively")
     elif report.verdict == "sampled_ok":
         lines.append(f"{report.evaluations} samples, seed {report.seed}")
-    if report.counterexample is not None:
-        parts = ", ".join(
-            f"{name} = {model.format_element(v)}"
-            for name, v in sorted(report.counterexample.items())
-        )
-        lines.append(f"counterexample: {parts}")
+    ce = _report_payload(model, report)["counterexample"]
+    if ce is not None:
+        lines.append("counterexample: "
+                     + ", ".join(f"{k} = {v}" for k, v in ce.items()))
     return lines
 
 
@@ -289,8 +308,7 @@ def _demo_omega(out):
         out.data.setdefault("closed_instances", {})[model.name] = ok
     g4 = gf(2, 2)
     report = check_eq(g4, term, ZERO)
-    ce = {name: g4.format_element(v)
-          for name, v in sorted(report.counterexample.items())}
+    ce = _report_payload(g4, report)["counterexample"]
     out.line(f"{g4.name}: {_VERDICT_WORDS[report.verdict]} with "
              f"counterexample "
              + ", ".join(f"{k} = {v}" for k, v in ce.items()))

@@ -68,6 +68,10 @@ class InfiniteExhaustiveError(MeadowError):
     """Exhaustive checking was requested on a model with infinite carrier."""
 
 
+class CarrierTooLargeError(MeadowError):
+    """Exhaustive checking would need op tables over too large a carrier."""
+
+
 class InfiniteCarrierError(MeadowError):
     """A finite-carrier operation was applied to an infinite model."""
 

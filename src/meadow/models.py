@@ -28,6 +28,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    CarrierTooLargeError,
     InfiniteExhaustiveError,
     NonSquareFreeError,
     NotPrimeError,
@@ -99,9 +100,6 @@ class MeadowModel:
             raise InfiniteExhaustiveError(f"{self.name} has an infinite carrier")
         return len(self.carrier)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def eval(self, t: Term, assignment: Mapping[str, Any] | None = None):
         return eval_term(self, t, assignment)
 
@@ -148,74 +146,49 @@ class RationalMeadow(MeadowModel):
         return str(e)
 
 
-def _factorize(k: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            k //= d
+def _square_free_primes(k: int) -> tuple[int, ...]:
+    """Prime factors of k; NonSquareFreeError if one of them repeats."""
+    if k < 2:
+        raise ValueError("modulus must be at least 2")
+    primes, rest, d = [], k, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            rest //= d
+            if rest % d == 0:
+                raise NonSquareFreeError(k)
+            primes.append(d)
         d += 1
-    if k > 1:
-        factors[k] = factors.get(k, 0) + 1
-    return factors
+    return tuple(primes + [rest] * (rest > 1))
 
 
 class ModularMeadow(MeadowModel):
     """Z/kZ with division a/b = a * w(b), where w(b) is the weak inverse.
 
     The weak inverse of b is the unique w with b*w*b = b and w*b*w = w; it
-    exists for every residue exactly when k is square-free.  Construction
-    searches for it exhaustively and, independently, cross-checks the whole
-    division table against componentwise prime-field division under the
-    Chinese-remainder decomposition, so the two constructions audit each
-    other.  Cost is O(k^2); these models are meant to stay small.
+    exists for every residue exactly when k is square-free.  Under the
+    Chinese-remainder decomposition Z/kZ = F_p1 x ... x F_pr it is the
+    componentwise field inverse, with 0 for a zero component, so building
+    all k of them costs O(k * r) modular powers.  The op tables are index
+    arithmetic mod k.
     """
 
     def __init__(self, k: int):
-        if k < 2:
-            raise ValueError("modulus must be at least 2")
+        self.primes = _square_free_primes(k)
         self.name = f"mk:{k}"
         self.k = k
         self.carrier = list(range(k))
         self.zero = 0
         self.one = 1 % k
-        weak = []
-        for b in range(k):
-            ws = [w for w in range(k)
-                  if (b * w * b) % k == b and (w * b * w) % k == w]
-            if not ws:
-                raise NonSquareFreeError(k)
-            if len(ws) != 1:
-                raise AssertionError(f"weak inverse of {b} mod {k} not unique")
-            weak.append(ws[0])
-        self.weak_inverse = tuple(weak)
+        # pow(0, p - 2, p) is 1 for p = 2, so zero components are guarded.
+        self.weak_inverse = tuple(
+            _crt_combine([pow(b, p - 2, p) if b % p else 0
+                          for p in self.primes], self.primes)
+            for b in range(k))
 
-        factors = _factorize(k)
-        if any(e > 1 for e in factors.values()):
-            # The search above must already have failed in this case.
-            raise AssertionError(f"weak inverses found on non-square-free {k}")
-        self.primes = tuple(sorted(factors))
-        self._crt_cross_check()
-
-    def _crt_cross_check(self):
-        k = self.k
-        pairs = (
-            itertools.product(range(k), repeat=2)
-            if k <= 100
-            else ((rng.randrange(k), rng.randrange(k))
-                  for rng in [random.Random(0)]
-                  for _ in range(10_000))
-        )
-        for a, b in pairs:
-            expect = _crt_combine(
-                [_field_div(a % p, b % p, p) for p in self.primes],
-                self.primes,
-            )
-            if self.div(a, b) != expect:
-                raise AssertionError(
-                    f"weak-inverse division disagrees with CRT at ({a}, {b}) mod {k}"
-                )
+    def _build_tables(self):
+        k, i = self.k, np.arange(self.k, dtype=np.int64)
+        return ((i[:, None] + i) % k, (i[:, None] * i) % k, -i % k,
+                i[:, None] * np.array(self.weak_inverse, dtype=np.int64) % k)
 
     def add(self, a, b):
         return (a + b) % self.k
@@ -251,12 +224,6 @@ class ModularMeadow(MeadowModel):
         return str(e)
 
 
-def _field_div(a: int, b: int, p: int) -> int:
-    if b == 0:
-        return 0
-    return (a * pow(b, p - 2, p)) % p
-
-
 def _crt_combine(components: Sequence[int], primes: Sequence[int]) -> int:
     k = math.prod(primes)
     x = 0
@@ -283,12 +250,7 @@ class CrtDecomposition:
 
 def crt_decompose(k: int) -> CrtDecomposition:
     """Prime decomposition of Z/kZ; raises NonSquareFreeError otherwise."""
-    if k < 2:
-        raise ValueError("modulus must be at least 2")
-    factors = _factorize(k)
-    if any(e > 1 for e in factors.values()):
-        raise NonSquareFreeError(k)
-    primes = tuple(sorted(factors))
+    primes = _square_free_primes(k)
     return CrtDecomposition(k, primes, tuple(ModularMeadow(p) for p in primes))
 
 
@@ -379,6 +341,11 @@ class GaloisMeadow(MeadowModel):
     extended gcd in F_p[x].  The carrier is enumerated by the integer
     encoding sum(c_i * p^i), putting 0, 1 first and the generator next
     (for n >= 2).
+
+    The op tables take O(q) field operations, q = p^n: add and neg work
+    digit by digit on the encoding, and mul and div read log/antilog
+    tables of the first primitive element g (the nonzero elements are
+    the cyclic group of powers of g), with row and column 0 set to 0.
     """
 
     def __init__(self, p: int, n: int):
@@ -396,16 +363,33 @@ class GaloisMeadow(MeadowModel):
         self.generator = self._pad([0, 1]) if n >= 2 else self._pad(
             [(-self.modulus[0]) % p]
         )
-        assert self.eval_poly_at_generator(self.modulus) == self.zero
+
+    def _build_tables(self):
+        p, q = self.p, len(self.carrier)
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for d in range(self.n):
+            digit = np.arange(q, dtype=np.int64) // p ** d % p
+            add += (digit[:, None] + digit) % p * p ** d
+            neg += -digit % p * p ** d
+        for g in self.carrier[1:]:
+            powers, x = [self.one], g
+            while x != self.one:
+                powers.append(x)
+                x = self.mul(x, g)
+            if len(powers) == q - 1:
+                break
+        exp = np.array([self.index_of(x) for x in powers], dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = exp[(log[:, None] + log) % (q - 1)]
+        div = exp[(log[:, None] - log) % (q - 1)]
+        for t in (mul, div):
+            t[0, :] = t[:, 0] = 0
+        return add, mul, neg, div
 
     def _pad(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         return tuple(list(coeffs)[: self.n] + [0] * (self.n - len(coeffs)))
-
-    def eval_poly_at_generator(self, coeffs: Sequence[int]):
-        acc = self.zero
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, self.generator), self.of_int(c))
-        return acc
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -562,26 +546,20 @@ def eval_term(model: MeadowModel, t: Term,
                 model.add, model.mul, model.neg, model.div)[out]
 
 
+MAX_TABLE_CARRIER = 2048     # three q x q int64 tables: 100 MB at q = 2048
+
+
 def _op_tables(model: MeadowModel):
-    """q x q lookup tables for the model's operations, built once."""
-    cached = getattr(model, "_op_tables", None)
-    if cached is not None:
-        return cached
-    q = model.size
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    div = np.empty((q, q), dtype=np.int64)
-    neg = np.empty(q, dtype=np.int64)
-    elems = [model.element_at(i) for i in range(q)]
-    index = {e: i for i, e in enumerate(elems)}
-    for i, a in enumerate(elems):
-        neg[i] = index[model.neg(a)]
-        for j, b in enumerate(elems):
-            add[i, j] = index[model.add(a, b)]
-            mul[i, j] = index[model.mul(a, b)]
-            div[i, j] = index[model.div(a, b)]
-    tables = (add, mul, neg, div)
-    model._op_tables = tables
+    """Index tables (add, mul, neg, div) of a finite model, built once;
+    carriers above MAX_TABLE_CARRIER are refused before any allocation."""
+    tables = getattr(model, "_op_tables", None)
+    if tables is None:
+        if model.size > MAX_TABLE_CARRIER:
+            raise CarrierTooLargeError(
+                f"{model.name} has {model.size} elements, more than the "
+                f"{MAX_TABLE_CARRIER} that exhaustive checking tabulates: "
+                "check by sampling instead (--strategy sampled --samples N)")
+        tables = model._op_tables = model._build_tables()
     return tables
 
 
@@ -666,8 +644,6 @@ def characteristic(model: MeadowModel, search_bound: int = 1000) -> int | None:
         acc = model.add(acc, model.one)
         if acc == model.zero:
             return i
-    if model.is_finite:
-        raise AssertionError(f"no additive order within {bound} in {model.name}")
     return None
 
 

@@ -65,6 +65,17 @@ class TestParse:
         assert (code, out) == (2, "")
         assert err.startswith("error: parentheses nested deeper than")
 
+    def test_json_of_deep_tree(self, capsys):
+        # x^2000 is ((1*x)*x)*...*x; the tree nests 2000 levels deep.
+        var = '{"name":"x","node":"var"}'
+        tree = '{"node":"one"}'
+        for _ in range(2000):
+            tree = '{"left":' + tree + ',"node":"mul","right":' + var + '}'
+        code, out, err = run_cli(capsys, "parse", "x^2000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == ('{"command":"parse","input":"x^2000","term":"1'
+                       + "*x" * 2000 + '","tree":' + tree + '}\n')
+
     def test_json_includes_tree(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "x", "--format", "json")
         payload = json.loads(out)
@@ -110,6 +121,15 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "x = x+1", "--samples", count)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    def test_carrier_too_large_for_tables(self, capsys):
+        code, out, err = run_cli(capsys, "check", "x*x = x", "--model", "gf:2^12")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: gf:2^12 has 4096 elements")
+        assert "--samples" in err
+        code, out, _ = run_cli(capsys, "check", "x*x = x", "--model", "gf:2^12",
+                               "--strategy", "sampled", "--samples", "20")
+        assert code == 1 and out.startswith("Refuted\n")
 
     def test_deep_power(self, capsys):
         code, out, _ = run_cli(capsys, "check", "x^2000 = x^2", "--model", "mk:7")

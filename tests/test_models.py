@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from meadow import (
     Add, Div, Inv, Mul, ONE, Var, ZERO,
-    CheckReport, Exhaustive, InfiniteExhaustiveError, NonSquareFreeError,
-    NotPrimeError, REFUTED, RationalMeadow, SAMPLED_OK, Sampled,
-    UnboundVariableError, VALID,
+    CarrierTooLargeError, CheckReport, Exhaustive, InfiniteExhaustiveError,
+    NonSquareFreeError, NotPrimeError, REFUTED, RationalMeadow, SAMPLED_OK,
+    Sampled, UnboundVariableError, VALID,
     characteristic, check_eq, crt_decompose, derived_division_identities,
     division_axioms, eval_term, gf, inverse_axioms, mk, mk_numeral,
     model_from_spec, parse, q0, ring_axioms,
 )
+from meadow.models import MAX_TABLE_CARRIER, _op_tables
 
 x = Var("x")
 y = Var("y")
@@ -123,6 +126,80 @@ class TestCrt:
         with pytest.raises(NonSquareFreeError):
             crt_decompose(12)
 
+    def test_weak_inverses_match_search(self):
+        # The construction takes componentwise field inverses; the search
+        # takes the definition b*w*b = b, w*b*w = w literally.
+        square_free = 0
+        for k in range(2, 101):
+            found = [[w for w in range(k)
+                      if b * w * b % k == b and w * b * w % k == w]
+                     for b in range(k)]
+            if all(k % (d * d) for d in range(2, 11)):
+                square_free += 1
+                assert [[w] for w in mk(k).weak_inverse] == found, k
+            else:
+                assert [] in found, k
+                with pytest.raises(NonSquareFreeError) as err:
+                    mk(k)
+                assert err.value.k == k
+        assert square_free == 60
+
+
+def _brute_force_tables(model):
+    """The op tables straight from the element operations, pair by pair."""
+    elems = [model.element_at(i) for i in range(model.size)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def table(op):
+        return np.array([[index[op(a, b)] for b in elems] for a in elems],
+                        dtype=np.int64)
+
+    neg = np.array([index[model.neg(a)] for a in elems], dtype=np.int64)
+    return table(model.add), table(model.mul), neg, table(model.div)
+
+
+class TestOpTables:
+    EXTRA = ("gf:2^3", "gf:2^5", "gf:3^3", "gf:5^2", "gf:7^2", "mk:210")
+
+    def test_match_element_operations(self, finite_models):
+        models = finite_models + [model_from_spec(s) for s in self.EXTRA]
+        for model in models:
+            for got, want in zip(_op_tables(model), _brute_force_tables(model)):
+                assert got.dtype == want.dtype == np.int64, model.name
+                assert got.shape == want.shape, model.name
+                assert got.flags.c_contiguous, model.name
+                assert np.array_equal(got, want), model.name
+
+    def test_gf256_against_element_operations(self):
+        g = gf(2, 8)
+        assert g.modulus == (1, 0, 0, 0, 1, 1, 0, 1, 1)
+        assert g.generator == (0, 1, 0, 0, 0, 0, 0, 0)
+        assert g.carrier[:4] == [(0,) * 8, (1,) + (0,) * 7,
+                                 (0, 1) + (0,) * 6, (1, 1) + (0,) * 6]
+        add, mul, neg, div = _op_tables(g)
+        assert [add.shape, mul.shape, neg.shape, div.shape] == [
+            (256, 256), (256, 256), (256,), (256, 256)]
+        at = g.element_at
+        assert all(at(int(neg[i])) == g.neg(at(i)) for i in range(256))
+        rng = random.Random(8)
+        for _ in range(5000):
+            i, j = rng.randrange(256), rng.randrange(256)
+            a, b = at(i), at(j)
+            assert at(int(add[i, j])) == g.add(a, b)
+            assert at(int(mul[i, j])) == g.mul(a, b)
+            assert at(int(div[i, j])) == g.div(a, b)
+
+    def test_carrier_bound(self):
+        big = gf(2, 12)
+        assert big.size == 4096 > MAX_TABLE_CARRIER
+        with pytest.raises(CarrierTooLargeError) as err:
+            check_eq(big, x, x, Exhaustive())
+        assert str(err.value).startswith("gf:2^12 has 4096 elements")
+        assert "--samples" in str(err.value)
+        assert not hasattr(big, "_op_tables")
+        report = check_eq(big, x * x, x, Sampled(50, 0))
+        assert report.verdict == REFUTED
+
 
 class TestGalois:
     def test_gf4_construction(self, g4):
@@ -151,6 +228,14 @@ class TestGalois:
 
     def test_division_by_zero(self, g4):
         assert all(g4.div(e, g4.zero) == g4.zero for e in g4.carrier)
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 8)])
+    def test_generator_is_root_of_modulus(self, p, n):
+        g = gf(p, n)
+        acc = g.zero
+        for c in reversed(g.modulus):
+            acc = g.add(g.mul(acc, g.generator), g.of_int(c))
+        assert acc == g.zero
 
     def test_field_inverses(self, g9):
         for e in g9.carrier:
