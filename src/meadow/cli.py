@@ -19,7 +19,7 @@ from .models import (
     Exhaustive, Sampled, REFUTED, VALID,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
 )
-from .normal_forms import to_basic
+from .normal_forms import render_basic, to_basic
 from .polynomials import to_canonical
 from .syntax import parse as parse_term
 from .syntax import print_term, term_to_data
@@ -206,7 +206,7 @@ def _cmd_normalize(args) -> int:
                      "result": printed}, [printed])
         return 0
     basic = to_basic(t)
-    printed = print_term(basic.to_term())
+    printed = render_basic(basic)
     compact = " ".join(f"{'+' if s.sign > 0 else '-'}{s.num}/{s.den}"
                        for s in basic.summands) or "0"
     _emit(args, {"command": "normalize", "mode": "basic",

@@ -9,6 +9,12 @@ equality:
 * ``gf(p, n)``        -- the order-p^n Galois field as residues modulo a
                          fixed irreducible polynomial, with x/0 = 0.
 
+``eval_term`` and ``check_eq`` compile the terms into one straight-line
+program and run it with the model's program ops (``_program_ops``).  The
+finite models run it on their own elements; ``q0`` runs it on integer
+pairs (n, d) with d > 0, see ``RationalMeadow``, and hands back
+``Fraction`` values, so results and reports are the same either way.
+
 ``check_eq`` decides equations over a finite model by exhausting all
 assignments (vectorized over lookup tables), and tests them on an infinite
 model by deterministic seeded sampling.  Reports are plain data and are
@@ -20,10 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from math import gcd
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,12 +111,51 @@ class MeadowModel:
     def eval(self, t: Term, assignment: Mapping[str, Any] | None = None):
         return eval_term(self, t, assignment)
 
+    def _program_ops(self) -> "ProgramOps":
+        """The ops compiled programs run with: here the model's own, on
+        its elements."""
+        return ProgramOps(_itself, _itself, operator.eq,
+                          self.add, self.mul, self.neg, self.div)
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
 
+class ProgramOps(NamedTuple):
+    """How a compiled program computes in a model.
+
+    Steps run on working values: ``lift`` makes one from an element,
+    ``lower`` turns one back into the element it stands for, and
+    ``same`` tells whether two stand for the same element.
+    """
+
+    lift: Callable[[Any], Any]
+    lower: Callable[[Any], Any]
+    same: Callable[[Any, Any], bool]
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+    neg: Callable[[Any], Any]
+    div: Callable[[Any, Any], Any]
+
+
+def _itself(e):
+    return e
+
+
 class RationalMeadow(MeadowModel):
-    """Exact rationals with division totalized by x/0 = 0."""
+    """Exact rationals with division totalized by x/0 = 0.
+
+    Elements are ``Fraction`` values.  Compiled programs (``eval_term``,
+    sampled ``check_eq``) run on integer pairs (n, d) with d > 0 instead:
+    n/d is 0 exactly when n is, so x/0 = 0 needs no reduced form, and two
+    pairs are compared by cross-multiplying.  A pair whose denominator is
+    below 2**64 may be unreduced; ops on two such pairs skip the gcd that
+    each ``Fraction`` op pays, and a result whose denominator reaches
+    2**64 is reduced once.  A pair whose denominator is at least 2**64 is
+    always in lowest terms, and ops involving one follow ``Fraction``'s
+    own cross-gcd steps, so legitimately large values cost what they cost
+    with ``Fraction``.
+    """
 
     def __init__(self):
         self.name = "q0"
@@ -144,6 +191,88 @@ class RationalMeadow(MeadowModel):
 
     def format_element(self, e) -> str:
         return str(e)
+
+    def _program_ops(self) -> "ProgramOps":
+        # The pairs compute what add, mul, neg and div above compute; a
+        # subclass that redefines one of them runs on its own elements.
+        if any(getattr(type(self), op) is not getattr(RationalMeadow, op)
+               for op in ("add", "mul", "neg", "div")):
+            return super()._program_ops()
+        return _PAIR_OPS
+
+
+# Pairs with a denominator below _WIDE may be unreduced; the others are
+# in lowest terms.
+_WIDE = 1 << 64
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def _pair_add(a, b):
+    na, da = a
+    nb, db = b
+    if da < _WIDE and db < _WIDE:
+        if da == db:
+            n, d = na + nb, da
+        else:
+            n, d = na * db + nb * da, da * db
+        return (n, d) if d < _WIDE else _lowest(n, d)
+    if da < _WIDE:
+        na, da = _lowest(na, da)
+    if db < _WIDE:
+        nb, db = _lowest(nb, db)
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + nb * da, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+def _pair_mul(a, b):
+    na, da = a
+    nb, db = b
+    if da < _WIDE and db < _WIDE:
+        n, d = na * nb, da * db
+        return (n, d) if d < _WIDE else _lowest(n, d)
+    if da < _WIDE:
+        na, da = _lowest(na, da)
+    if db < _WIDE:
+        nb, db = _lowest(nb, db)
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na, db = na // g1, db // g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb, da = nb // g2, da // g2
+    return na * nb, da * db
+
+
+def _pair_div(a, b):
+    n, d = b
+    if n == 0:
+        return 0, 1
+    if n < 0:
+        n, d = -n, -d
+    if n >= _WIDE and abs(d) < _WIDE:   # 1/b = d/n is wide: lowest terms
+        d, n = _lowest(d, n)
+    return _pair_mul(a, (d, n))
+
+
+_PAIR_OPS = ProgramOps(
+    lift=lambda e: (e.numerator, e.denominator),
+    lower=lambda p: Fraction(*p),
+    same=lambda a, b: a[0] * b[1] == b[0] * a[1],
+    add=_pair_add, mul=_pair_mul,
+    neg=lambda a: (-a[0], a[1]),
+    div=_pair_div,
+)
 
 
 def _square_free_primes(k: int) -> tuple[int, ...]:
@@ -542,8 +671,11 @@ def eval_term(model: MeadowModel, t: Term,
     for kind, a, _, _ in steps:
         if kind == _VAR and a not in env:
             raise UnboundVariableError(a)
-    return _run(steps, model.of_int, env.__getitem__,
-                model.add, model.mul, model.neg, model.div)[out]
+    ops = model._program_ops()
+    regs = _run(steps, lambda n: ops.lift(model.of_int(n)),
+                lambda name: ops.lift(env[name]),
+                ops.add, ops.mul, ops.neg, ops.div)
+    return ops.lower(regs[out])
 
 
 MAX_TABLE_CARRIER = 2048     # three q x q int64 tables: 100 MB at q = 2048
@@ -593,12 +725,15 @@ def _check_exhaustive(model, steps, left, right, names):
 
 def _check_sampled(model, steps, left, right, names, strategy: Sampled):
     rng = random.Random(strategy.seed)
-    consts = {a: model.of_int(a) for kind, a, _, _ in steps if kind == _CONST}
-    ops = model.add, model.mul, model.neg, model.div
+    ops = model._program_ops()
+    consts = {a: ops.lift(model.of_int(a))
+              for kind, a, _, _ in steps if kind == _CONST}
     for i in range(strategy.count):
         env = {name: model.random_element(rng) for name in names}
-        regs = _run(steps, consts.__getitem__, env.__getitem__, *ops)
-        if regs[left] != regs[right]:
+        values = {name: ops.lift(e) for name, e in env.items()}
+        regs = _run(steps, consts.__getitem__, values.__getitem__,
+                    ops.add, ops.mul, ops.neg, ops.div)
+        if not ops.same(regs[left], regs[right]):
             return CheckReport(REFUTED, env, i + 1, strategy.seed)
     return CheckReport(SAMPLED_OK, None, strategy.count, strategy.seed)
 

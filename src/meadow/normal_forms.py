@@ -269,9 +269,23 @@ def is_basic_term(t: Term) -> bool:
 
 
 def render_basic(b: BasicTerm) -> str:
-    from .syntax import print_term
+    """The text print_term(b.to_term()), spelled from the summands.
 
-    return print_term(b.to_term())
+    Numerators and denominators cost their digits here, where the term
+    would spell each as a numeral chain with one node per unit.
+    """
+    def operand(n: int) -> str:
+        # the numeral 1 is the chain 0 + 1, so a quotient parenthesizes it
+        return "(0 + 1)" if n == 1 else str(n)
+
+    parts = []
+    for s in b.summands:
+        body = f"{operand(s.num)}/{operand(s.den)}"
+        if parts:
+            parts.append((" + " if s.sign > 0 else " - ") + body)
+        else:
+            parts.append(body if s.sign > 0 else f"-({body})")
+    return "".join(parts) or "0"
 
 
 def cr_normal(p: Term) -> int:

@@ -37,14 +37,6 @@ __all__ = [
 ]
 
 
-def _bare_power(base: Term, exponent: int) -> Term:
-    """base multiplied by itself exponent times, no leading 1 factor."""
-    acc = base
-    for _ in range(exponent - 1):
-        acc = Mul(acc, base)
-    return acc
-
-
 def _const_term(n: int) -> Term:
     # positive constants in rendered polynomials; 1 prints as "1"
     return ONE if n == 1 else mk_numeral(n)
@@ -141,6 +133,7 @@ class UniPoly:
         if self.is_zero:
             return ZERO
         acc: Term | None = None
+        powers: dict = {}
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
             if c == 0:
@@ -148,9 +141,10 @@ class UniPoly:
             if i == 0:
                 mono: Term = _const_term(abs(c))
             elif abs(c) == 1:
-                mono = _bare_power(Var(self.variable), i)
+                mono = _shared_power(self.variable, i, powers)
             else:
-                mono = Mul(mk_numeral(abs(c)), _bare_power(Var(self.variable), i))
+                mono = Mul(mk_numeral(abs(c)),
+                           _shared_power(self.variable, i, powers))
             signed = Neg(mono) if c < 0 else mono
             acc = signed if acc is None else Add(acc, signed)
         assert acc is not None
@@ -334,19 +328,43 @@ class MultiPoly:
         return total
 
     def to_term(self) -> Term:
-        if self.is_zero:
-            return ZERO
-        acc: Term | None = None
-        for m, c in self.terms:
-            factors: list[Term] = []
-            if abs(c) != 1 or not m:
-                factors.append(_const_term(abs(c)))
-            for v, e in m:
-                factors.append(_bare_power(Var(v), e))
-            mono = factors[0]
-            for factor in factors[1:]:
-                mono = Mul(mono, factor)
-            signed = Neg(mono) if c < 0 else mono
-            acc = signed if acc is None else Add(acc, signed)
-        assert acc is not None
-        return acc
+        return _poly_term(self, {})
+
+
+def _poly_term(poly: MultiPoly, shared: dict) -> Term:
+    """poly as a term.  Its coefficient numerals, variable powers and the
+    whole term are taken from ``shared``, or built and added there, so
+    renderings that share the dict share those subterm objects."""
+    if poly.is_zero:
+        return ZERO
+    if poly in shared:
+        return shared[poly]
+    acc: Term | None = None
+    for m, c in poly.terms:
+        factors: list[Term] = []
+        if abs(c) != 1 or not m:
+            if abs(c) not in shared:
+                shared[abs(c)] = _const_term(abs(c))
+            factors.append(shared[abs(c)])
+        for v, e in m:
+            factors.append(_shared_power(v, e, shared))
+        mono = factors[0]
+        for factor in factors[1:]:
+            mono = Mul(mono, factor)
+        signed = Neg(mono) if c < 0 else mono
+        acc = signed if acc is None else Add(acc, signed)
+    assert acc is not None
+    shared[poly] = acc
+    return acc
+
+
+def _shared_power(v: str, e: int, shared: dict) -> Term:
+    """v*v*...*v with e factors, associated to the left; each power v^k,
+    k <= e, is built once per dict, as v^(k-1) * v."""
+    base = shared.setdefault((v, 1), Var(v))
+    k = e
+    while (v, k) not in shared:
+        k -= 1
+    for k in range(k + 1, e + 1):
+        shared[v, k] = Mul(shared[v, k - 1], base)
+    return shared[v, e]

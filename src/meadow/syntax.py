@@ -315,23 +315,38 @@ def term_to_data(t: Term):
     return fold(t, _data_leaf, _DATA)
 
 
+_FROM_DATA = {
+    "add": (Add, ("left", "right")), "mul": (Mul, ("left", "right")),
+    "neg": (Neg, ("arg",)), "div": (Div, ("num", "den")),
+    "inv": (Inv, ("arg",)),
+}
+
+
 def term_from_data(data) -> Term:
-    """Inverse of term_to_data."""
-    node = data["node"]
-    if node == "zero":
-        return ZERO
-    if node == "one":
-        return ONE
-    if node == "var":
-        return Var(data["name"])
-    if node == "add":
-        return Add(term_from_data(data["left"]), term_from_data(data["right"]))
-    if node == "mul":
-        return Mul(term_from_data(data["left"]), term_from_data(data["right"]))
-    if node == "neg":
-        return Neg(term_from_data(data["arg"]))
-    if node == "div":
-        return Div(term_from_data(data["num"]), term_from_data(data["den"]))
-    if node == "inv":
-        return Inv(term_from_data(data["arg"]))
-    raise ValueError(f"unknown node kind {node!r}")
+    """Inverse of term_to_data, with an explicit stack so deep trees decode
+    like shallow ones.  A dict occurring several times as the same object
+    decodes to one shared term object."""
+    built: dict[int, Term] = {}
+    stack = [(data, False)]
+    while stack:
+        item, ready = stack.pop()
+        if id(item) in built:
+            continue
+        node = item["node"]
+        if node == "zero":
+            t = ZERO
+        elif node == "one":
+            t = ONE
+        elif node == "var":
+            t = Var(item["name"])
+        elif node in _FROM_DATA:
+            cls, fields = _FROM_DATA[node]
+            if not ready:
+                stack.append((item, True))
+                stack.extend((item[f], False) for f in reversed(fields))
+                continue
+            t = cls(*(built[id(item[f])] for f in fields))
+        else:
+            raise ValueError(f"unknown node kind {node!r}")
+        built[id(item)] = t
+    return built[id(data)]

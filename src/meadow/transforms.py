@@ -30,7 +30,7 @@ from .errors import (
 )
 from .models import GaloisMeadow, eval_term, q0
 from .normal_forms import to_basic
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, _poly_term
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
     contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
@@ -193,9 +193,14 @@ class SumOfSimpleFractions:
         return len(self.summands)
 
     def to_term(self) -> Term:
+        """The sum as one term.  Its summands share one object per
+        distinct coefficient numeral, variable power and polynomial, so
+        ``fold`` walks each of those once."""
         if not self.summands:
             return ZERO
-        parts = [Div(n.to_term(), d.to_term()) for n, d in self.summands]
+        shared: dict = {}
+        parts = [Div(_poly_term(n, shared), _poly_term(d, shared))
+                 for n, d in self.summands]
         acc = parts[0]
         for part in parts[1:]:
             acc = Add(acc, part)

@@ -1,8 +1,21 @@
+import os
+
 import pytest
 
+import meadow
 from meadow import gf, mk, q0, to_basic
 
 from gen import random_closed_terms
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Child processes (python -m meadow) import the meadow under test."""
+    src = os.path.dirname(os.path.dirname(meadow.__file__))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -294,3 +294,14 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_normalize_large_power_answers():
+    # the basic form's text is spelled without numeral chains, which
+    # would take one node per unit of 2^1000
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadow", "normalize", "2^1000"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"+{2 ** 1000}/1\n{2 ** 1000}/(0 + 1)\n"

@@ -13,8 +13,8 @@ from meadow import (
     Div, Mul, Neg, ONE, Sampled, VALID, SAMPLED_OK, Var,
     check_eq, cr_normal, eliminate_division, eval_term, is_basic_term,
     iter_subterms, mk, mk_numeral, parse, print_term, substitute,
-    term_to_data, to_basic, to_canonical, to_divisive, to_inversive,
-    to_sum_of_simple_fractions,
+    term_from_data, term_to_data, to_basic, to_canonical, to_divisive,
+    to_inversive, to_sum_of_simple_fractions,
 )
 
 N = 100_000
@@ -60,8 +60,10 @@ def test_walkers_at_depth_1e5(case):
     # syntax
     assert print_term(t) == text
     assert print_term(parse(text)) == text
-    assert data_kinds(term_to_data(t)) == Counter(
+    data = term_to_data(t)
+    assert data_kinds(data) == Counter(
         type(s).__name__.lower() for s in iter_subterms(t))
+    assert print_term(term_from_data(data)) == text
 
     # terms
     assert print_term(to_divisive(to_inversive(Div(t, x)))) \

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -5,15 +7,19 @@ import numpy as np
 import pytest
 
 from meadow import (
-    Add, Div, Inv, Mul, ONE, Var, ZERO,
+    Add, Div, Inv, Mul, Neg, ONE, Var, ZERO,
     CarrierTooLargeError, CheckReport, Exhaustive, InfiniteExhaustiveError,
     NonSquareFreeError, NotPrimeError, REFUTED, RationalMeadow, SAMPLED_OK,
     Sampled, UnboundVariableError, VALID,
     characteristic, check_eq, crt_decompose, derived_division_identities,
     division_axioms, eval_term, gf, inverse_axioms, mk, mk_numeral,
-    model_from_spec, parse, q0, ring_axioms,
+    model_from_spec, parse, power, q0, ring_axioms,
+    to_sum_of_simple_fractions, variables,
 )
-from meadow.models import MAX_TABLE_CARRIER, _op_tables
+from meadow.models import MAX_TABLE_CARRIER, _PAIR_OPS, _WIDE, _op_tables
+from meadow.terms import fold
+
+from gen import random_term
 
 x = Var("x")
 y = Var("y")
@@ -365,3 +371,149 @@ class TestModelFromSpec:
             model_from_spec("mk:4")
         with pytest.raises(NotPrimeError):
             model_from_spec("gf:6^1")
+
+
+# -- q0 programs on integer pairs, against a Fraction reference -------------
+
+def _fraction_div(a, b):
+    return Fraction(0) if b == 0 else a / b
+
+
+def _reciprocal(a):
+    return _fraction_div(Fraction(1), a)
+
+
+def _reference_program(*terms):
+    """The terms folded into one list of steps run with Fraction arithmetic
+    and x/0 = 0, equal steps once; calling the result with an assignment
+    gives each term's value."""
+    steps, index = [], {}
+
+    def emit(op, a, b=None):
+        i = index.setdefault((op, a, b), len(steps))
+        if i == len(steps):
+            steps.append((op, a, b))
+        return i
+
+    ops = {Add: lambda a, b: emit(operator.add, a, b),
+           Mul: lambda a, b: emit(operator.mul, a, b),
+           Div: lambda a, b: emit(_fraction_div, a, b),
+           Neg: lambda a: emit(operator.neg, a),
+           Inv: lambda a: emit(_reciprocal, a)}
+    outputs = [fold(t, lambda node, n: emit(None, node.name) if n is None
+                    else emit(None, None, Fraction(n)), ops) for t in terms]
+
+    def run(env):
+        values = []
+        for op, a, b in steps:
+            if op is None:
+                values.append(env[a] if a is not None else b)
+            elif b is None:
+                values.append(op(values[a]))
+            else:
+                values.append(op(values[a], values[b]))
+        return [values[i] for i in outputs]
+    return run
+
+
+def _reference_check(lhs, rhs, strategy):
+    run = _reference_program(lhs, rhs)
+    names = sorted(set(variables(lhs)) | set(variables(rhs)))
+    rng, draw = random.Random(strategy.seed), q0().random_element
+    for i in range(strategy.count):
+        env = {name: draw(rng) for name in names}
+        left, right = run(env)
+        if left != right:
+            return CheckReport(REFUTED, env, i + 1, strategy.seed)
+    return CheckReport(SAMPLED_OK, None, strategy.count, strategy.seed)
+
+
+@pytest.fixture(scope="module")
+def c07_pairs():
+    """The c07 corpus with each term's rendered sum of fractions."""
+    rng = random.Random(1400)
+    terms = [random_term(rng, 6, names=("x", "y", "z")) for _ in range(200)]
+    return [(t, to_sum_of_simple_fractions(t).to_term()) for t in terms]
+
+
+def _cycled_sum(n):
+    """x + x/2 + ... + x/6 + x + x/2 + ..., n summands."""
+    nums = [mk_numeral(k) for k in range(7)]
+    t = x
+    for i in range(1, n):
+        k = i % 6 + 1
+        t = Add(t, x if k == 1 else Div(x, nums[k]))
+    return t
+
+
+class TestPairEvaluator:
+    @pytest.mark.parametrize("count, seed", [(20, 7), (1000, 0)])
+    def test_c07_reports_match_fraction_reference(self, c07_pairs, rationals,
+                                                  count, seed):
+        strategy = Sampled(count, seed)
+        for t, rendered in c07_pairs:
+            for rhs in (rendered, Add(rendered, ONE)):
+                assert check_eq(rationals, t, rhs, strategy) \
+                    == _reference_check(t, rhs, strategy)
+
+    @pytest.mark.parametrize("build", [
+        lambda: _cycled_sum(64_000),
+        lambda: power(x, 20_000),
+        lambda: power(Add(x, ONE), 20_000),
+        lambda: power(Add(Div(ONE, Add(x, ONE)), Div(x, mk_numeral(3))), 2000),
+    ], ids=["cycled_sum", "x_power", "x_plus_1_power", "mixed_power"])
+    def test_large_values_are_exact(self, rationals, build):
+        t = build()
+        run = _reference_program(t)
+        for value in (Fraction(3, 7), Fraction(0)):
+            got = eval_term(rationals, t, {"x": value})
+            assert type(got) is Fraction
+            assert got == run({"x": value})[0]
+
+    def test_counterexamples_are_fractions(self, rationals):
+        report = check_eq(rationals, Div(x, y), Add(Div(x, y), ONE),
+                          Sampled(5, 3))
+        assert report.verdict == REFUTED
+        assert all(type(v) is Fraction for v in report.counterexample.values())
+
+    @pytest.mark.parametrize("text, env", [
+        ("x/(y - y)", {"x": Fraction(-2, 3), "y": Fraction(5)}),
+        ("(-x)/(-y)", {"x": Fraction(-2, 3), "y": Fraction(-14, 9)}),
+        ("-x/y + x/y", {"x": Fraction(-2, 3), "y": Fraction(-14, 9)}),
+        # an unreduced pair (d = 6) with a numerator past 2**64, inverted
+        ("1/(x^40*y*z)", {"x": 6, "y": Fraction(2, 3), "z": Fraction(3, 2)}),
+        # reduced wide pairs meeting unreduced narrow ones
+        ("x^30 + y*z", {"x": Fraction(3, 7), "y": Fraction(2, 3),
+                        "z": Fraction(3, 2)}),
+        ("x^30 * (y*z) / (z*y*x^29)", {"x": Fraction(3, 7),
+                                       "y": Fraction(2, 3),
+                                       "z": Fraction(-3, 2)}),
+    ])
+    def test_mixed_widths_and_signs(self, rationals, text, env):
+        t = parse(text)
+        assert eval_term(rationals, t, env) == _reference_program(t)(env)[0]
+
+    def test_pair_ops_keep_wide_pairs_in_lowest_terms(self):
+        rng = random.Random(5)
+
+        def pair():
+            # narrow pairs may be unreduced, wide ones are in lowest terms
+            if rng.random() < 0.5:
+                g = rng.randint(1, 50)
+                return (rng.randint(-10 ** rng.randint(0, 40), 10 ** 40) * g,
+                        rng.randint(1, 2 ** 50) * g)
+            f = Fraction(rng.randint(-2 ** 100, 2 ** 100),
+                         rng.randint(2 ** 64, 2 ** 100))
+            return f.numerator, f.denominator
+
+        ops = _PAIR_OPS
+        for _ in range(3000):
+            a, b = pair(), pair()
+            fa, fb = ops.lower(a), ops.lower(b)
+            for op, want in ((ops.add, fa + fb), (ops.mul, fa * fb),
+                             (ops.div, fa / fb if fb else Fraction(0))):
+                n, d = op(a, b)
+                assert d > 0 and Fraction(n, d) == want
+                assert d < _WIDE or math.gcd(n, d) == 1
+            assert ops.same(a, ops.lift(fa))
+            assert not ops.same(a, ops.add(a, (1, 1)))

@@ -9,7 +9,7 @@ from meadow import (
     BasicTerm, MixedSignatureError, NotRingTermError, OpenTermError,
     SignedFraction, VALID,
     check_eq, cr_normal, eval_term, guard, is_basic_term, mk, mk_numeral,
-    parse, q0, render_basic, tidy, to_basic,
+    parse, print_term, q0, render_basic, tidy, to_basic,
 )
 
 from gen import random_ring_term, random_term
@@ -140,6 +140,19 @@ def test_render_basic():
     b = to_basic(parse("2/3"))
     assert render_basic(b) == "2/3"
     assert render_basic(BasicTerm(())) == "0"
+
+
+def test_render_basic_is_the_printed_term(corpus_basic):
+    # to_term() spells numerals as chains with one node per unit, so the
+    # comparison is limited to forms where that stays small (946 of 1000)
+    small = [b for _, b in corpus_basic
+             if sum(s.num + s.den for s in b) <= 10_000]
+    assert len(small) > 900
+    for b in small:
+        assert render_basic(b) == print_term(b.to_term())
+    b = to_basic(parse("-1/2 + 1 - 3"))
+    assert render_basic(b) == print_term(b.to_term()) \
+        == "-((0 + 1)/2) + (0 + 1)/(0 + 1) - 3/(0 + 1)"
 
 
 class TestCrNormal:

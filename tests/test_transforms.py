@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meadow import (
-    Div, Mul, ONE, Var, ZERO,
+    Add, Div, Mul, Neg, ONE, Var, ZERO,
     ExponentPair, InfiniteCarrierError, MixedSignatureError, OpenTermError,
     REFUTED, SAMPLED_OK, Sampled, SimpleClosedFraction, UniPoly, VALID,
     check_eq, closed_to_simple_fraction_q0,
     closed_to_simple_fraction_q0_via_basic, contains_div, eliminate_division,
     eval_term, falsify_simple_fraction_claim, find_annihilating_exponents,
     gf, guard_identities, is_simple_fraction, mk, mk_numeral, parse,
-    print_term, q0, to_simple_fraction_finite, to_sum_of_simple_fractions,
-    variables,
+    iter_subterms, print_term, q0, term_to_data, to_simple_fraction_finite,
+    to_sum_of_simple_fractions, variables,
 )
+from meadow.cli import _dumps
 
 from gen import random_open_terms, random_term
 
@@ -209,6 +210,48 @@ class TestSumOfSimpleFractions:
             assert check_eq(rationals, t, s,
                             Sampled(300, 0)).verdict == SAMPLED_OK, \
                 print_term(t)
+
+
+def _unshared_term(s):
+    """The sum of fractions rendered with a fresh object for every node."""
+    def poly(p):
+        acc = None
+        for m, c in p.terms:
+            factors = [ONE if abs(c) == 1 else mk_numeral(abs(c))] \
+                if abs(c) != 1 or not m else []
+            for v, e in m:
+                factors += [Var(v)]
+                for _ in range(e - 1):
+                    factors[-1] = Mul(factors[-1], Var(v))
+            mono = factors[0]
+            for f in factors[1:]:
+                mono = Mul(mono, f)
+            mono = Neg(mono) if c < 0 else mono
+            acc = mono if acc is None else Add(acc, mono)
+        return ZERO if acc is None else acc
+
+    acc = None
+    for n, d in s:
+        part = Div(poly(n), poly(d))
+        acc = part if acc is None else Add(acc, part)
+    return ZERO if acc is None else acc
+
+
+def test_rendered_sum_shares_factors_with_unchanged_text_and_json():
+    rng = random.Random(1400)
+    for _ in range(40):
+        s = to_sum_of_simple_fractions(random_term(rng, 6))
+        shared, plain = s.to_term(), _unshared_term(s)
+        assert print_term(shared) == print_term(plain)
+        assert _dumps(term_to_data(shared)) == _dumps(term_to_data(plain))
+    s = to_sum_of_simple_fractions(parse("1/(2/(x*x) + 2/(y*x))"))
+    nodes = list(iter_subterms(s.to_term()))
+    for kind in (Var, Mul, Add):
+        objects = [n for n in nodes if isinstance(n, kind)]
+        assert len({id(n) for n in objects}) < len(objects), kind
+    xs = {id(n) for n in nodes if n == Var("x")}
+    twos = {id(n) for n in nodes if n == mk_numeral(2)}
+    assert len(xs) == len(twos) == 1
 
 
 class TestLowerBound:
