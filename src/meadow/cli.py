@@ -19,7 +19,7 @@ from .models import (
     Exhaustive, Sampled, REFUTED, VALID,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
 )
-from .normal_forms import render_basic, to_basic
+from .normal_forms import render_basic, render_quotient, to_basic
 from .polynomials import to_canonical
 from .syntax import parse as parse_term
 from .syntax import print_term, term_to_data
@@ -261,7 +261,8 @@ def _cmd_simplify(args) -> int:
                  "model": model.name,
                  "sign": "+" if fraction.sign > 0 else "-",
                  "num": fraction.num, "den": fraction.den,
-                 "term": print_term(fraction.to_term()),
+                 "term": render_quotient(fraction.sign * fraction.num,
+                                         fraction.den),
                  "result": compact}, [compact])
     return 0
 
@@ -428,11 +429,19 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # exact values may run past CPython's int/str digit limit (4300 by
+    # default, absent before Python 3.11); lift it while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args)
     except (MeadowError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

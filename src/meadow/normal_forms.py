@@ -13,6 +13,12 @@ square-free kernel may be put over a common denominator.  General
 fraction merging and gcd cancellation are deliberately absent from
 ``to_basic`` because finite models refute them; ``tidy`` offers them as
 a separate pass that re-verifies every instance semantically.
+
+The reciprocal of a sum is the guard case-split ``split_reciprocal``.
+It and the pairwise ``product`` work on (numerator, denominator) pairs
+over any coefficient ring: ``to_basic`` folds integer pairs, sign in
+the numerator, and ``transforms.to_sum_of_simple_fractions`` polynomial
+pairs.
 """
 from __future__ import annotations
 
@@ -28,7 +34,8 @@ from .terms import (
 
 __all__ = [
     "SignedFraction", "BasicTerm",
-    "to_basic", "is_basic_term", "render_basic",
+    "to_basic", "is_basic_term", "render_basic", "render_quotient",
+    "split_reciprocal", "product",
     "cr_normal", "guard", "tidy",
 ]
 
@@ -114,44 +121,46 @@ def _same_kernel(a: int, b: int) -> bool:
     return _strip_shared(a, b) == 1 and _strip_shared(b, a) == 1
 
 
-def _merge_kernels(fractions: list[SignedFraction]) -> list[SignedFraction]:
-    """Combine summands whose denominators share a square-free kernel.
+def _merge_kernels(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Combine summands (n, d) whose denominators share a square-free kernel.
 
     Such summands go over the common denominator lcm; this is sound in
     every model because a prime divides one of the denominators exactly
     when it divides all of them, so in any characteristic either every
     term involved is a divide-by-zero (and both sides vanish) or none
     is.  Merging across different kernels is not sound and is never
-    done.  Summands that cancel to numerator 0 are dropped; order is by
-    first appearance of each kernel.
+    done.  A negative denominator moves its sign to the numerator;
+    summands that cancel to numerator 0 are dropped; order is by first
+    appearance of each kernel.
     """
-    groups: list[list[SignedFraction]] = []
-    for f in fractions:
+    groups: list[list[tuple[int, int]]] = []
+    for n, d in pairs:
+        if d < 0:
+            n, d = -n, -d
         for group in groups:
-            if _same_kernel(group[0].den, f.den):
-                group.append(f)
+            if _same_kernel(group[0][1], d):
+                group.append((n, d))
                 break
         else:
-            groups.append([f])
+            groups.append([(n, d)])
     out = []
     for group in groups:
-        den = math.lcm(*(f.den for f in group))
-        num = sum(f.sign * f.num * (den // f.den) for f in group)
+        den = math.lcm(*(d for _, d in group))
+        num = sum(n * (den // d) for n, d in group)
         if num != 0:
-            out.append(SignedFraction(1 if num > 0 else -1, abs(num), den))
+            out.append((num, den))
     return out
 
 
-def _invert(divisor: list[SignedFraction]) -> list[SignedFraction]:
-    """Summand list for 1/(sum of the given fractions).
+def split_reciprocal(divisor: list, one) -> list:
+    """Summands (numerator, denominator) for 1/(sum of the divisor's).
 
-    A single summand s/(n/m) just swaps to s/(m/n); that matches the
-    reciprocal laws directly, including every divide-by-zero case.
-
-    For several summands no single fraction works in all models, so the
-    result case-splits on which denominators vanish: for each candidate
-    set S of surviving indices the sum collapses to N_S / D_S with
-    D_S the product of the S-denominators and N_S the matching
+    Generic over the coefficient ring: ``one`` is its unit, the integer
+    1 for closed basic forms or the constant polynomial 1 for sums of
+    polynomial fractions.  No single fraction works in all models, so
+    the result case-splits on which denominators vanish: for each
+    candidate set S of surviving indices the sum collapses to N_S / D_S
+    with D_S the product of the S-denominators and N_S the matching
     numerator sum, and the indicator of "exactly S survives" is a
     product of guards g/g and complements 1 - g/g.  Expanding the
     complements over subsets T of the complement of S and folding each
@@ -159,53 +168,48 @@ def _invert(divisor: list[SignedFraction]) -> list[SignedFraction]:
 
         (-1)^|T| * (G*D_S) / (G*N_S),   G = product of dens in S u T.
 
-    Denominator-1 summands never vanish, so sets S that drop them are
-    skipped.  Summand count is bounded by 3^n; callers keep divisor
-    lists short by merging first.
+    Denominators equal to ``one`` never vanish, so sets S that drop them
+    are skipped, and so are sets whose N_S is zero: their summands
+    divide by 0, which every model evaluates to 0.  Summand count is
+    bounded by 3^n for n divisor summands.
     """
-    if not divisor:
-        return []
-    if len(divisor) == 1:
-        f = divisor[0]
-        return [SignedFraction(f.sign, f.den, f.num)]
-
-    dens = [f.den for f in divisor]
-    nums = [f.sign * f.num for f in divisor]
-    forced = [i for i, d in enumerate(dens) if d == 1]
-    free = [i for i, d in enumerate(dens) if d != 1]
-    out: list[SignedFraction] = []
+    nums = [f for f, _ in divisor]
+    dens = [g for _, g in divisor]
+    zero = one - one
+    forced = [i for i, g in enumerate(dens) if g == one]
+    free = [i for i, g in enumerate(dens) if g != one]
+    out = []
     for s_bits in range(1 << len(free)):
         survivors = forced + [i for b, i in enumerate(free) if s_bits >> b & 1]
         if not survivors:
             continue
         survivors.sort()
-        d_s = math.prod(dens[i] for i in survivors)
-        n_s = sum(
-            nums[i] * math.prod(dens[j] for j in survivors if j != i)
-            for i in survivors
-        )
-        if n_s == 0:
+        d_s = math.prod((dens[i] for i in survivors), start=one)
+        n_s = sum((math.prod((dens[j] for j in survivors if j != i),
+                             start=nums[i]) for i in survivors), zero)
+        if n_s == zero:
             continue
-        rest = [i for i in free if not (i in survivors)]
+        rest = [i for i in free if i not in survivors]
         for t_bits in range(1 << len(rest)):
             extra = [i for b, i in enumerate(rest) if t_bits >> b & 1]
-            g = math.prod(dens[i] for i in survivors + extra)
-            sign = (-1) ** len(extra) * (1 if n_s > 0 else -1)
-            out.append(SignedFraction(sign, g * d_s, g * abs(n_s)))
+            g_u = math.prod((dens[i] for i in survivors + extra), start=one)
+            num = g_u * d_s
+            out.append((-num if len(extra) % 2 else num, g_u * n_s))
     return out
 
 
-def _product(left: list[SignedFraction],
-             right: list[SignedFraction]) -> list[SignedFraction]:
-    return [
-        SignedFraction(a.sign * b.sign, a.num * b.num, a.den * b.den)
-        for a in left
-        for b in right
-    ]
+def product(left: list, right: list) -> list:
+    """Pairwise products of two summand lists (numerator, denominator)."""
+    return [(f1 * f2, g1 * g2) for f1, g1 in left for f2, g2 in right]
 
 
-def _basic_leaf(node: Term, n: int) -> list[SignedFraction]:
-    return [SignedFraction(1 if n > 0 else -1, abs(n), 1)] if n else []
+def _basic_div(num: list, den: list) -> list:
+    den = _merge_kernels(den)
+    if len(den) == 1:  # one summand swaps, s/(n/m) = s/(m/n), everywhere
+        inverse = [(d, n) for n, d in den]
+    else:
+        inverse = split_reciprocal(den, 1)
+    return _merge_kernels(product(_merge_kernels(num), inverse))
 
 
 def _no_inverse(arg):
@@ -215,11 +219,10 @@ def _no_inverse(arg):
 
 _BASIC = {
     Add: lambda left, right: left + right,
-    Neg: lambda arg: [f.negate() for f in arg],
+    Neg: lambda arg: [(-n, d) for n, d in arg],
     Mul: lambda left, right: _merge_kernels(
-        _product(_merge_kernels(left), _merge_kernels(right))),
-    Div: lambda num, den: _merge_kernels(
-        _product(_merge_kernels(num), _invert(_merge_kernels(den)))),
+        product(_merge_kernels(left), _merge_kernels(right))),
+    Div: _basic_div,
     Inv: _no_inverse,
 }
 
@@ -234,13 +237,16 @@ def to_basic(p: Term) -> BasicTerm:
     keeps intermediate lists short.  Fractions are not reduced and
     unlike-denominator summands are never combined; see ``tidy``.
 
+    Summands are (numerator, denominator) integer pairs until the end.
     Cost is dominated by inverting many-summand divisors (see
-    ``_invert``); terms whose divisors merge to a handful of summands
-    transform quickly.
+    ``split_reciprocal``); terms whose divisors merge to a handful of
+    summands transform quickly.
     """
     if not is_closed(p):
         raise OpenTermError("basic forms exist for closed terms only")
-    return BasicTerm(tuple(fold(p, _basic_leaf, _BASIC)))
+    pairs = fold(p, lambda node, n: [(n, 1)] if n else [], _BASIC)
+    return BasicTerm(tuple(SignedFraction(1 if n > 0 else -1, abs(n), d)
+                           for n, d in pairs))
 
 
 # is_basic_term folds a term to its shape: the integer of a numeral,
@@ -268,19 +274,24 @@ def is_basic_term(t: Term) -> bool:
     return shape in _BASIC_SHAPES
 
 
-def render_basic(b: BasicTerm) -> str:
-    """The text print_term(b.to_term()), spelled from the summands.
+def render_quotient(num: int, den: int) -> str:
+    """The text print_term(Div(mk_numeral(num), mk_numeral(den))), den >= 1.
 
-    Numerators and denominators cost their digits here, where the term
+    Numerator and denominator cost their digits here, where the term
     would spell each as a numeral chain with one node per unit.
     """
     def operand(n: int) -> str:
         # the numeral 1 is the chain 0 + 1, so a quotient parenthesizes it
         return "(0 + 1)" if n == 1 else str(n)
 
+    return f"{'-' * (num < 0)}{operand(abs(num))}/{operand(den)}"
+
+
+def render_basic(b: BasicTerm) -> str:
+    """The text print_term(b.to_term()), spelled from the summands."""
     parts = []
     for s in b.summands:
-        body = f"{operand(s.num)}/{operand(s.den)}"
+        body = render_quotient(s.num, s.den)
         if parts:
             parts.append((" + " if s.sign > 0 else " - ") + body)
         else:

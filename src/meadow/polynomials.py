@@ -130,25 +130,9 @@ class UniPoly:
 
     def to_term(self) -> Term:
         """High-to-low sum of monomials, subtraction for negatives."""
-        if self.is_zero:
-            return ZERO
-        acc: Term | None = None
-        powers: dict = {}
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                mono: Term = _const_term(abs(c))
-            elif abs(c) == 1:
-                mono = _shared_power(self.variable, i, powers)
-            else:
-                mono = Mul(mk_numeral(abs(c)),
-                           _shared_power(self.variable, i, powers))
-            signed = Neg(mono) if c < 0 else mono
-            acc = signed if acc is None else Add(acc, signed)
-        assert acc is not None
-        return acc
+        return MultiPoly.from_dict({
+            ((self.variable, i),) if i else (): c
+            for i, c in enumerate(self.coeffs)}).to_term()
 
 
 def to_canonical(t: Term, var: str) -> UniPoly:

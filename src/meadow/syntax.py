@@ -166,14 +166,17 @@ class _Parser:
         return t
 
     def _literal_value(self, tok) -> int:
-        value = int(tok[1])
-        if value > _MAX_LITERAL:
+        # digits first: int() of a long literal is slow, and CPython
+        # refuses one past its digit limit
+        digits = tok[1].lstrip("0") or "0"
+        if (len(digits) > len(str(_MAX_LITERAL))
+                or int(digits) > _MAX_LITERAL):
             raise ParseError(
                 f"integer literal {tok[1]} is too large to expand"
                 f" (limit {_MAX_LITERAL})",
                 tok[2], tok[3], found=tok[1],
             )
-        return value
+        return int(digits)
 
     def atom(self) -> Term:
         kind, text, line, col = self.peek()

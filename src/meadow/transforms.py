@@ -13,7 +13,8 @@ Four constructions live here:
 * ``to_sum_of_simple_fractions`` -- with variables present, no single
   fraction suffices across models; instead any term in the division
   signature becomes a finite sum of polynomial fractions, case-split
-  by guards over which denominators vanish.
+  by guards over which denominators vanish.  The case-split is
+  ``normal_forms.split_reciprocal``, shared with ``to_basic``.
 * ``falsify_simple_fraction_claim`` -- for any claimed polynomial
   fraction equal to 1 + 1/x over the rationals, constructs an exact
   rational point refuting the claim.
@@ -29,7 +30,7 @@ from .errors import (
     OpenTermError,
 )
 from .models import GaloisMeadow, eval_term, q0
-from .normal_forms import to_basic
+from .normal_forms import product, split_reciprocal, to_basic
 from .polynomials import MultiPoly, _poly_term
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
@@ -207,68 +208,16 @@ class SumOfSimpleFractions:
         return acc
 
 
-def _invert_fraction_list(
-    divisor: list[tuple[MultiPoly, MultiPoly]],
-) -> list[tuple[MultiPoly, MultiPoly]]:
-    """Fraction list for 1 / (sum of polynomial fractions).
-
-    Case-splits on which denominators vanish: for each surviving set S
-    the sum collapses to N_S / D_S, and the indicator of that event is
-    the product of guards g/g over S and complements 1 - g/g outside.
-    Expanding complements over subsets T and folding guards in yields
-    plain fractions (-1)**|T| * (G * D_S) / (G * N_S) with G the product
-    of the S-and-T denominators.  Constant-1 denominators never vanish,
-    so sets dropping them are skipped; subsets with identically zero
-    N_S contribute fractions with denominator polynomial 0, which every
-    model evaluates to 0, and are dropped as well.  Output grows as
-    3**n in the summand count n.
-    """
-    if not divisor:
-        return []
-    nums = [f for f, _ in divisor]
-    dens = [g for _, g in divisor]
-    forced = [i for i, g in enumerate(dens) if g.is_one]
-    free = [i for i, g in enumerate(dens) if not g.is_one]
-    one = MultiPoly.constant(1)
-    out: list[tuple[MultiPoly, MultiPoly]] = []
-    for s_bits in range(1 << len(free)):
-        survivors = forced + [i for b, i in enumerate(free) if s_bits >> b & 1]
-        if not survivors:
-            continue
-        survivors.sort()
-        d_s = one
-        for i in survivors:
-            d_s = d_s * dens[i]
-        n_s = MultiPoly.constant(0)
-        for i in survivors:
-            prod = nums[i]
-            for j in survivors:
-                if j != i:
-                    prod = prod * dens[j]
-            n_s = n_s + prod
-        if n_s.is_zero:
-            continue
-        rest = [i for i in free if i not in survivors]
-        for t_bits in range(1 << len(rest)):
-            extra = [i for b, i in enumerate(rest) if t_bits >> b & 1]
-            g_u = one
-            for i in survivors + extra:
-                g_u = g_u * dens[i]
-            num = g_u * d_s
-            if len(extra) % 2:
-                num = -num
-            out.append((num, g_u * n_s))
-    return out
-
-
 def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
     """Decompose any term in the division signature, open or closed.
 
     The rendered sum evaluates identically to t in every model under
     every assignment.  Sums concatenate, negation flips numerators,
     products multiply componentwise, and reciprocals of sums expand by
-    the guard case-split in _invert_fraction_list.  Summands whose
-    numerator polynomial is identically zero are dropped.
+    the guard case-split ``normal_forms.split_reciprocal``, the one
+    ``to_basic`` uses, here over polynomials.  A single summand goes
+    through the case-split too, so 1/(1/x) becomes x*x/x.  Summands
+    whose numerator polynomial is identically zero are dropped.
     """
     if contains_inv(t):
         raise MixedSignatureError(
@@ -281,14 +230,11 @@ def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
         f = MultiPoly.variable(node.name) if n is None else MultiPoly.constant(n)
         return [] if f.is_zero else [(f, one)]
 
-    def product(left, right) -> list[tuple[MultiPoly, MultiPoly]]:
-        return [(f1 * f2, g1 * g2) for f1, g1 in left for f2, g2 in right]
-
     fractions = fold(t, leaf, {
         Add: lambda left, right: left + right,
         Neg: lambda arg: [(-f, g) for f, g in arg],
         Mul: product,
-        Div: lambda num, den: product(num, _invert_fraction_list(den)),
+        Div: lambda num, den: product(num, split_reciprocal(den, one)),
     })
     summands = [(f, g) for f, g in fractions if not f.is_zero]
     return SumOfSimpleFractions(tuple(summands))

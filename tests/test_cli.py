@@ -60,6 +60,12 @@ class TestParse:
         assert code == 2
         assert "error:" in err
 
+    def test_oversized_literal_is_parse_error(self, capsys):
+        code, _, err = run_cli(capsys, "parse", "1" * 5000)
+        assert code == 2
+        assert "too large to expand" in err
+        assert err.endswith("at line 1, column 1\n")
+
     def test_nesting_past_the_bound_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "parse", "(" * 2000 + "x" + ")" * 2000)
         assert (code, out) == (2, "")
@@ -305,3 +311,43 @@ def test_normalize_large_power_answers():
     )
     assert proc.returncode == 0
     assert proc.stdout == f"+{2 ** 1000}/1\n{2 ** 1000}/(0 + 1)\n"
+
+
+def test_simplify_large_power_answers():
+    # the closed fraction's term text is spelled without numeral chains
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadow", "simplify", "2^1000",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["term"] == f"{2 ** 1000}/(0 + 1)"
+
+
+def _decimal(n: int) -> str:
+    """str(n), also past CPython's int/str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command, template", [
+    ("eval", "{}\n"), ("normalize", "+{0}/1\n{0}/(0 + 1)\n")])
+def test_values_past_the_digit_limit_print(capsys, command, template):
+    code, out, err = run_cli(capsys, command, "2^20000")
+    assert (code, err) == (0, "")
+    assert out == template.format(_decimal(2 ** 20000))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int/str digit limit before Python 3.11")
+def test_main_keeps_the_callers_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    for argv in (["eval", "2^20000"], ["parse", "x +"]):
+        run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == before

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from meadow import (
     Add, Div, Inv, Mul, Neg, ONE, Var, ZERO,
     BasicTerm, MixedSignatureError, NotRingTermError, OpenTermError,
-    SignedFraction, VALID,
-    check_eq, cr_normal, eval_term, guard, is_basic_term, mk, mk_numeral,
-    parse, print_term, q0, render_basic, tidy, to_basic,
+    SignedFraction, SimpleClosedFraction, VALID,
+    check_eq, closed_to_simple_fraction_q0, cr_normal, eval_term, guard,
+    is_basic_term, mk, mk_numeral, parse, print_term, q0, render_basic, tidy,
+    to_basic, to_sum_of_simple_fractions,
 )
+from meadow.normal_forms import render_quotient, split_reciprocal
+from meadow.polynomials import MultiPoly
 
 from gen import random_ring_term, random_term
 
@@ -153,6 +157,63 @@ def test_render_basic_is_the_printed_term(corpus_basic):
     b = to_basic(parse("-1/2 + 1 - 3"))
     assert render_basic(b) == print_term(b.to_term()) \
         == "-((0 + 1)/2) + (0 + 1)/(0 + 1) - 3/(0 + 1)"
+
+
+def test_render_quotient_is_the_printed_term(corpus):
+    # the closed q0 fraction of each corpus term whose numeral spelling
+    # stays small (975 of 1000), then zero, +-1 and denominator 1
+    values = [closed_to_simple_fraction_q0(t) for t in corpus]
+    small = [f for f in values if f.num + f.den <= 10_000]
+    assert len(small) > 900
+    pinned = [SimpleClosedFraction.from_fraction(Fraction(v)) for v in
+              (0, 1, -1, 5, -5, Fraction(1, 7), Fraction(-1, 7))]
+    for f in small + pinned:
+        assert render_quotient(f.sign * f.num, f.den) == print_term(f.to_term())
+    assert [render_quotient(f.sign * f.num, f.den) for f in pinned] == [
+        "0/(0 + 1)", "(0 + 1)/(0 + 1)", "-(0 + 1)/(0 + 1)", "5/(0 + 1)",
+        "-5/(0 + 1)", "(0 + 1)/7", "-(0 + 1)/7"]
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def test_case_split_outputs_are_pinned(corpus_basic):
+    """Digests taken before to_basic and to_sum_of_simple_fractions shared
+    one case-split, split_reciprocal; it still gives the same output."""
+    basic = [tuple(summand_triples(b)) for _, b in corpus_basic]
+    assert _digest(basic) == (
+        "ceba6ae6a0546c6934778ccedeb7a81aadaa77ea1de01b53298b2c3d5db180b4")
+
+    rng = random.Random(1400)
+    terms = [random_term(rng, 6, names=("x", "y", "z")) for _ in range(200)]
+    terms += [parse(text) for text in (
+        "1/(1/2+1/3)", "1/(x/2 + 3/y + z)", "1/(1/x)", "1/(1/x + 1/y)",
+        "1/(x - x)", "1/(1 + 2)", "(x+1)/(x/y - y/x + 1)", "1/(2/x + 3/x)",
+        "1/(x/2 - x/2 + 1/y)", "x/(1/(1/x + y))")]
+    sums = []
+    for t in terms:
+        s = to_sum_of_simple_fractions(t)
+        sums.append((tuple((n.terms, d.terms) for n, d in s),
+                     print_term(s.to_term())))
+    assert _digest(sums) == (
+        "02f85db71002459928d623ae83d85a401d3471658a6dd48b66851a443d138d70")
+
+    # over integers and over constant polynomials the routine agrees
+    rng = random.Random(4242)
+    splits = []
+    for _ in range(400):
+        divisor = [(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 6))
+                   for _ in range(rng.randint(1, 4))]
+        ints = split_reciprocal(divisor, 1)
+        polys = split_reciprocal(
+            [(MultiPoly.constant(n), MultiPoly.constant(d)) for n, d in divisor],
+            MultiPoly.constant(1))
+        assert polys == [(MultiPoly.constant(n), MultiPoly.constant(d))
+                         for n, d in ints], divisor
+        splits.append(ints)
+    assert _digest(splits) == (
+        "e404213fa8705ff697ec2be38a3f876bf9be51c499536e4cdb34381527568e73")
 
 
 class TestCrNormal:

@@ -79,6 +79,14 @@ class TestParse:
         from meadow import numeral_value
         assert numeral_value(parse("100000")) == 100_000
 
+    def test_oversized_literal_is_parse_error(self):
+        # refused by its digit count, before CPython's int() digit limit
+        with pytest.raises(ParseError) as err:
+            parse("x + " + "1" * 5000)
+        assert (err.value.line, err.value.column) == (1, 5)
+        assert "too large to expand" in str(err.value)
+        assert parse("0" * 5000 + "7") == parse("7")
+
     def test_nesting_bound(self):
         from meadow.syntax import _MAX_NESTING as n
         assert parse("(" * n + "x" + ")" * n) == x

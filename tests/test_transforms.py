@@ -212,27 +212,29 @@ class TestSumOfSimpleFractions:
                 print_term(t)
 
 
+def _unshared_poly(terms):
+    """Polynomial monomials (m, c) rendered with a fresh object per node."""
+    acc = None
+    for m, c in terms:
+        factors = [ONE if abs(c) == 1 else mk_numeral(abs(c))] \
+            if abs(c) != 1 or not m else []
+        for v, e in m:
+            factors += [Var(v)]
+            for _ in range(e - 1):
+                factors[-1] = Mul(factors[-1], Var(v))
+        mono = factors[0]
+        for f in factors[1:]:
+            mono = Mul(mono, f)
+        mono = Neg(mono) if c < 0 else mono
+        acc = mono if acc is None else Add(acc, mono)
+    return ZERO if acc is None else acc
+
+
 def _unshared_term(s):
     """The sum of fractions rendered with a fresh object for every node."""
-    def poly(p):
-        acc = None
-        for m, c in p.terms:
-            factors = [ONE if abs(c) == 1 else mk_numeral(abs(c))] \
-                if abs(c) != 1 or not m else []
-            for v, e in m:
-                factors += [Var(v)]
-                for _ in range(e - 1):
-                    factors[-1] = Mul(factors[-1], Var(v))
-            mono = factors[0]
-            for f in factors[1:]:
-                mono = Mul(mono, f)
-            mono = Neg(mono) if c < 0 else mono
-            acc = mono if acc is None else Add(acc, mono)
-        return ZERO if acc is None else acc
-
     acc = None
     for n, d in s:
-        part = Div(poly(n), poly(d))
+        part = Div(_unshared_poly(n.terms), _unshared_poly(d.terms))
         acc = part if acc is None else Add(acc, part)
     return ZERO if acc is None else acc
 
@@ -252,6 +254,14 @@ def test_rendered_sum_shares_factors_with_unchanged_text_and_json():
     xs = {id(n) for n in nodes if n == Var("x")}
     twos = {id(n) for n in nodes if n == mk_numeral(2)}
     assert len(xs) == len(twos) == 1
+    # one-variable polynomials render the same way, high degree first
+    rng = random.Random(1401)
+    for _ in range(300):
+        f = UniPoly.make("x", [rng.randint(-3, 3)
+                               for _ in range(rng.randint(0, 6))])
+        monomials = [((("x", i),) if i else (), c)
+                     for i, c in enumerate(f.coeffs) if c][::-1]
+        assert f.to_term() == _unshared_poly(monomials), f
 
 
 class TestLowerBound:
