@@ -69,7 +69,7 @@ class InfiniteExhaustiveError(MeadowError):
 
 
 class CarrierTooLargeError(MeadowError):
-    """Exhaustive checking would need op tables over too large a carrier."""
+    """A finite model or its op tables would need too large a carrier."""
 
 
 class InfiniteCarrierError(MeadowError):

@@ -16,8 +16,10 @@ pairs (n, d) with d > 0, see ``RationalMeadow``, and hands back
 ``Fraction`` values, so results and reports are the same either way.
 
 ``check_eq`` decides equations over a finite model by exhausting all
-assignments (vectorized over lookup tables), and tests them on an infinite
-model by deterministic seeded sampling.  Reports are plain data and are
+assignments (vectorized over numpy lookup tables; numpy is imported by
+the first table build), and tests them on an infinite model by
+deterministic seeded sampling.  Finite carriers above ``MAX_CARRIER``
+are refused before anything is built.  Reports are plain data and are
 reproducible: same model, equation, strategy and seed give the identical
 report.  Everything runs in one thread; determinism is part of the
 contract, speed comes from the tables.
@@ -32,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import (
     CarrierTooLargeError,
@@ -302,6 +302,8 @@ class ModularMeadow(MeadowModel):
     """
 
     def __init__(self, k: int):
+        if k > MAX_CARRIER:
+            raise _carrier_too_large(f"mk:{k}", k)
         self.primes = _square_free_primes(k)
         self.name = f"mk:{k}"
         self.k = k
@@ -315,6 +317,8 @@ class ModularMeadow(MeadowModel):
             for b in range(k))
 
     def _build_tables(self):
+        import numpy as np
+
         k, i = self.k, np.arange(self.k, dtype=np.int64)
         return ((i[:, None] + i) % k, (i[:, None] * i) % k, -i % k,
                 i[:, None] * np.array(self.weak_inverse, dtype=np.int64) % k)
@@ -478,6 +482,9 @@ class GaloisMeadow(MeadowModel):
     """
 
     def __init__(self, p: int, n: int):
+        # p^n > 2^20 once n > 20, so a huge power is never computed
+        if p >= 2 and n >= 1 and (n > 20 or p ** n > MAX_CARRIER):
+            raise _carrier_too_large(f"gf:{p}^{n}", f"{p}^{n}")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise NotPrimeError(p)
         if n < 1:
@@ -494,6 +501,8 @@ class GaloisMeadow(MeadowModel):
         )
 
     def _build_tables(self):
+        import numpy as np
+
         p, q = self.p, len(self.carrier)
         add = np.zeros((q, q), dtype=np.int64)
         neg = np.zeros(q, dtype=np.int64)
@@ -678,7 +687,14 @@ def eval_term(model: MeadowModel, t: Term,
     return ops.lower(regs[out])
 
 
+MAX_CARRIER = 1 << 20        # a finite model takes O(q) time and memory
 MAX_TABLE_CARRIER = 2048     # three q x q int64 tables: 100 MB at q = 2048
+
+
+def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
+    return CarrierTooLargeError(
+        f"{name} has {size} elements, more than the {MAX_CARRIER} that a "
+        "finite model is built with")
 
 
 def _op_tables(model: MeadowModel):
@@ -696,6 +712,9 @@ def _op_tables(model: MeadowModel):
 
 
 def _check_exhaustive(model, steps, left, right, names):
+    add, mul, neg, div = _op_tables(model)
+    import numpy as np
+
     q = model.size
     k = len(names)
     shape = (q,) * k
@@ -703,7 +722,6 @@ def _check_exhaustive(model, steps, left, right, names):
     # so a subterm's array spans just the variables it contains.
     axes = {name: np.arange(q).reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
             for j, name in enumerate(names)}
-    add, mul, neg, div = _op_tables(model)
     regs = _run(
         steps, lambda n: model.index_of(model.of_int(n)),
         axes.__getitem__, lambda a, b: add[a, b], lambda a, b: mul[a, b],

@@ -172,8 +172,8 @@ class _Parser:
         if (len(digits) > len(str(_MAX_LITERAL))
                 or int(digits) > _MAX_LITERAL):
             raise ParseError(
-                f"integer literal {tok[1]} is too large to expand"
-                f" (limit {_MAX_LITERAL})",
+                f"integer literal of {len(tok[1])} digits is too large"
+                f" to expand (limit {_MAX_LITERAL})",
                 tok[2], tok[3], found=tok[1],
             )
         return int(digits)

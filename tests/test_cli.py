@@ -324,6 +324,59 @@ def test_simplify_large_power_answers():
     assert json.loads(proc.stdout)["term"] == f"{2 ** 1000}/(0 + 1)"
 
 
+@pytest.mark.parametrize("spec", ["mk:99999999977", "gf:99999999977^1"])
+def test_huge_finite_model_is_domain_error(spec):
+    # refused by carrier size before the carrier or the modulus is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadow", "eval", "2", "--model", spec],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {spec} has ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+# README-session commands that never build an op table
+NUMPY_FREE_COMMANDS = [
+    ["eval", "1 + 1/2", "--model", "q0"],
+    ["eval", "x*x + x", "--model", "gf:2^2", "--assign", "x=a"],
+    ["check", "x*(1/x) = x/x", "--model", "q0"],
+    ["check", "x*(1/x) = x/x", "--model", "q0", "--format", "json"],
+    ["normalize", "(x + 1)*(x - 1)", "--canonical", "x"],
+    ["simplify", "1/x + 1/y", "--target", "sum-of-fractions"],
+    ["falsify", "x + 1", "x"],
+    ["char", "--model", "gf:3^2"],
+    ["demo", "separation"],
+    ["demo", "falsify-q0"],
+]
+
+
+def test_numpy_loads_only_for_op_tables():
+    # a fresh process: this one has imported numpy already
+    script = f"""
+import contextlib, io, sys
+import meadow, meadow.cli
+assert "numpy" not in sys.modules, "import"
+for argv in {NUMPY_FREE_COMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert meadow.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = meadow.cli.main(["check", "x*x = x", "--model", "gf:2^16"])
+assert code == 2 and err.getvalue().startswith(
+    "error: gf:2^16 has 65536 elements, more than the 2048"), err.getvalue()
+assert "numpy" not in sys.modules, "gf:2^16"
+x = meadow.Var("x")
+assert meadow.check_eq(meadow.mk(6), x, x).verdict == "valid"
+assert "numpy" in sys.modules, "check_eq"
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _decimal(n: int) -> str:
     """str(n), also past CPython's int/str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

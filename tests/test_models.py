@@ -372,6 +372,25 @@ class TestModelFromSpec:
         with pytest.raises(NotPrimeError):
             model_from_spec("gf:6^1")
 
+    def test_carrier_bound(self):
+        # at most 2^20 elements; the size is checked before any O(q) work
+        for spec in ("mk:1048577", "mk:99999999977", "gf:2^21",
+                     "gf:1031^2", "gf:99999999977^1", "gf:2^99999999999"):
+            with pytest.raises(CarrierTooLargeError) as err:
+                model_from_spec(spec)
+            assert str(err.value).startswith(f"{spec} has ")
+        with pytest.raises(NonSquareFreeError):
+            model_from_spec("mk:1048576")
+        assert model_from_spec("gf:2^16").size == 65536
+        # cheap argument checks keep their errors
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            model_from_spec("mk:1")
+        for spec in ("gf:2^0", "gf:2^-1"):
+            with pytest.raises(ValueError, match="extension degree"):
+                model_from_spec(spec)
+        with pytest.raises(NotPrimeError):
+            model_from_spec("gf:4^1")
+
 
 # -- q0 programs on integer pairs, against a Fraction reference -------------
 

@@ -87,6 +87,13 @@ class TestParse:
         assert "too large to expand" in str(err.value)
         assert parse("0" * 5000 + "7") == parse("7")
 
+    def test_oversized_literal_message_gives_digit_count(self):
+        with pytest.raises(ParseError) as err:
+            parse("1" * 5000)
+        assert str(err.value) == (
+            "integer literal of 5000 digits is too large to expand"
+            " (limit 100000) at line 1, column 1")
+
     def test_nesting_bound(self):
         from meadow.syntax import _MAX_NESTING as n
         assert parse("(" * n + "x" + ")" * n) == x
