@@ -32,6 +32,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -297,8 +298,8 @@ class ModularMeadow(MeadowModel):
     exists for every residue exactly when k is square-free.  Under the
     Chinese-remainder decomposition Z/kZ = F_p1 x ... x F_pr it is the
     componentwise field inverse, with 0 for a zero component, so building
-    all k of them costs O(k * r) modular powers.  The op tables are index
-    arithmetic mod k.
+    all k of them costs O(k * r) modular powers, paid on the first
+    division.  The op tables are index arithmetic mod k.
     """
 
     def __init__(self, k: int):
@@ -310,11 +311,15 @@ class ModularMeadow(MeadowModel):
         self.carrier = list(range(k))
         self.zero = 0
         self.one = 1 % k
+
+    @cached_property
+    def weak_inverse(self) -> tuple[int, ...]:
+        """w(b) for every residue b, built on first use."""
         # pow(0, p - 2, p) is 1 for p = 2, so zero components are guarded.
-        self.weak_inverse = tuple(
+        return tuple(
             _crt_combine([pow(b, p - 2, p) if b % p else 0
                           for p in self.primes], self.primes)
-            for b in range(k))
+            for b in range(self.k))
 
     def _build_tables(self):
         import numpy as np
@@ -455,9 +460,10 @@ def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree n over F_p.
 
     Candidates are ordered by their low-to-high coefficient tuple
-    (a_0, ..., a_{n-1}); the leading coefficient is fixed to 1.
+    (a_0, ..., a_{n-1}); the leading coefficient is fixed to 1.  Above
+    degree 1 the search starts at a_0 = 1, since x divides the rest.
     """
-    for tail in itertools.product(range(p), repeat=n):
+    for tail in itertools.product(range(n > 1, p), *[range(p)] * (n - 1)):
         candidate = list(tail) + [1]
         if _is_irreducible(candidate, p):
             return tuple(candidate)

@@ -164,12 +164,37 @@ def iter_subterms(t: Term) -> Iterator[Term]:
             stack.append(node.arg)
 
 
+def _instances(t: Term, cls: type, first: bool = False) -> list[Term]:
+    """The distinct subterm objects of t that are instances of cls; with
+    ``first``, at most the first one found.
+
+    One iterative walk that visits each object once, so a term sharing
+    subterms costs its distinct nodes, not its tree size.
+    """
+    found: list[Term] = []
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, cls):
+            found.append(node)
+            if first:
+                break
+        children = _CHILDREN.get(node.__class__)
+        if children is not None:
+            stack.extend(children(node))
+    return found
+
+
 def contains_div(t: Term) -> bool:
-    return any(isinstance(s, Div) for s in iter_subterms(t))
+    return bool(_instances(t, Div, first=True))
 
 
 def contains_inv(t: Term) -> bool:
-    return any(isinstance(s, Inv) for s in iter_subterms(t))
+    return bool(_instances(t, Inv, first=True))
 
 
 def is_divisive(t: Term) -> bool:
@@ -183,12 +208,12 @@ def is_inversive(t: Term) -> bool:
 
 
 def is_closed(t: Term) -> bool:
-    return not any(isinstance(s, Var) for s in iter_subterms(t))
+    return not _instances(t, Var, first=True)
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names occurring in t, sorted lexicographically."""
-    return tuple(sorted({s.name for s in iter_subterms(t) if isinstance(s, Var)}))
+    return tuple(sorted({v.name for v in _instances(t, Var)}))
 
 
 def _require_divisive(t: Term) -> None:

@@ -208,6 +208,18 @@ class SumOfSimpleFractions:
         return acc
 
 
+def _merge_equal_denominators(pairs: list) -> list:
+    """Summands (numerator, denominator) with equal denominator
+    polynomials added up, a/d + b/d = (a + b)/d, which holds in every
+    divisive meadow because x/y = x*(1/y) and multiplication distributes.
+    Groups whose numerators cancel to 0 are dropped; the rest keep the
+    order in which their denominators first appear."""
+    groups: dict[MultiPoly, MultiPoly] = {}
+    for f, g in pairs:
+        groups[g] = groups[g] + f if g in groups else f
+    return [(f, g) for g, f in groups.items() if not f.is_zero]
+
+
 def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
     """Decompose any term in the division signature, open or closed.
 
@@ -216,8 +228,13 @@ def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
     products multiply componentwise, and reciprocals of sums expand by
     the guard case-split ``normal_forms.split_reciprocal``, the one
     ``to_basic`` uses, here over polynomials.  A single summand goes
-    through the case-split too, so 1/(1/x) becomes x*x/x.  Summands
-    whose numerator polynomial is identically zero are dropped.
+    through the case-split too, so 1/(1/x) becomes x*x/x.
+
+    Every list the fold builds at a sum, product or quotient merges its
+    summands with equal denominator polynomials and drops those whose
+    numerator polynomial cancels to zero, so no two summands of the
+    result share a denominator.  Unlike denominators are never put over
+    a common one: 1/x + 1/y = (x + y)/(x*y) fails in q0 at x = 0, y = 1.
     """
     if contains_inv(t):
         raise MixedSignatureError(
@@ -230,14 +247,15 @@ def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
         f = MultiPoly.variable(node.name) if n is None else MultiPoly.constant(n)
         return [] if f.is_zero else [(f, one)]
 
-    fractions = fold(t, leaf, {
-        Add: lambda left, right: left + right,
+    # A folded list already has distinct denominators and nonzero
+    # numerators, so a divisor goes to split_reciprocal as it is.
+    merge = _merge_equal_denominators
+    return SumOfSimpleFractions(tuple(fold(t, leaf, {
+        Add: lambda left, right: merge(left + right),
         Neg: lambda arg: [(-f, g) for f, g in arg],
-        Mul: product,
-        Div: lambda num, den: product(num, split_reciprocal(den, one)),
-    })
-    summands = [(f, g) for f, g in fractions if not f.is_zero]
-    return SumOfSimpleFractions(tuple(summands))
+        Mul: lambda left, right: merge(product(left, right)),
+        Div: lambda num, den: merge(product(num, split_reciprocal(den, one))),
+    })))
 
 
 def falsify_simple_fraction_claim(f, g) -> Fraction:

@@ -212,7 +212,7 @@ class TestSimplify:
                             "sum-of-fractions", "1/(1/x + 1/y)",
                             "--format", "json")
         payload = json.loads(out)
-        assert len(payload["summands"]) == 5
+        assert len(payload["summands"]) == 4
 
 
 class TestFalsify:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -16,7 +17,10 @@ from meadow import (
     model_from_spec, parse, power, q0, ring_axioms,
     to_sum_of_simple_fractions, variables,
 )
-from meadow.models import MAX_TABLE_CARRIER, _PAIR_OPS, _WIDE, _op_tables
+from meadow import models
+from meadow.models import (
+    MAX_TABLE_CARRIER, _PAIR_OPS, _WIDE, _first_irreducible, _op_tables,
+)
 from meadow.terms import fold
 
 from gen import random_term
@@ -150,6 +154,13 @@ class TestCrt:
                 assert err.value.k == k
         assert square_free == 60
 
+    def test_weak_inverses_are_built_on_first_division(self):
+        assert "weak_inverse" not in vars(mk(1048573))
+        m30 = mk(30)
+        assert "weak_inverse" not in vars(m30)
+        assert m30.div(7, 11) == 7 * 11 % 30  # 11 is its own inverse mod 30
+        assert len(vars(m30)["weak_inverse"]) == 30
+
 
 def _brute_force_tables(model):
     """The op tables straight from the element operations, pair by pair."""
@@ -205,6 +216,54 @@ class TestOpTables:
         assert not hasattr(big, "_op_tables")
         report = check_eq(big, x * x, x, Sampled(50, 0))
         assert report.verdict == REFUTED
+
+
+def _first_irreducible_by_products(p, n):
+    """The first monic degree-n polynomial over F_p, ordered by its
+    low-to-high coefficient tuple, that is no product of two monic
+    polynomials of lower degree."""
+    def monic(d):
+        return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+        return tuple(out)
+
+    reducible = {times(a, b) for d in range(1, n // 2 + 1)
+                 for a in monic(d) for b in monic(n - d)}
+    return next(c for c in monic(n) if c not in reducible)
+
+
+class TestIrreducibleModulus:
+    def test_matches_search_over_products(self):
+        primes = [p for p in range(2, 4097)
+                  if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+        checked = 0
+        for p in primes:
+            n = 1
+            while p ** n <= 4096:
+                assert _first_irreducible(p, n) == \
+                    _first_irreducible_by_products(p, n), (p, n)
+                checked += 1
+                n += 1
+        assert checked == len(primes) + 40
+
+    def test_search_skips_multiples_of_x(self, monkeypatch):
+        calls = []
+        is_irreducible = models._is_irreducible
+
+        def counting(poly, p):
+            calls.append(poly)
+            return is_irreducible(poly, p)
+
+        monkeypatch.setattr(models, "_is_irreducible", counting)
+        assert _first_irreducible(2, 16) == (
+            1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+        assert all(poly[0] for poly in calls)
+        assert len(calls) <= 100  # 32 790 when all of a_0 = 0 is tried first
 
 
 class TestGalois:

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +93,41 @@ def test_closedness_and_variables():
     assert variables(t) == ("x", "y")
     assert is_closed(mk_numeral(9))
     assert variables(mk_numeral(9)) == ()
+
+
+def test_predicates_agree_with_iter_subterms():
+    rng = random.Random(77)
+    for _ in range(300):
+        t = random_term(rng, 7)
+        if rng.random() < 0.3:
+            t = to_inversive(t)
+        nodes = list(iter_subterms(t))
+        assert contains_div(t) == any(isinstance(s, Div) for s in nodes)
+        assert contains_inv(t) == any(isinstance(s, Inv) for s in nodes)
+        assert is_closed(t) == (not any(isinstance(s, Var) for s in nodes))
+        assert variables(t) == tuple(sorted(
+            {s.name for s in nodes if isinstance(s, Var)}))
+
+
+def test_predicates_visit_shared_subterms_once():
+    # 60 doublings make a tree of 2^61 - 1 nodes and 61 distinct objects
+    script = (
+        "from meadow import Add, Div, Inv, Var, contains_div, contains_inv, "
+        "is_closed, to_inversive, to_sum_of_simple_fractions, variables\n"
+        "t = Var('x')\n"
+        "for _ in range(60):\n"
+        "    t = Add(t, t)\n"
+        "assert not contains_div(t) and not contains_inv(t)\n"
+        "assert contains_div(Div(t, t)) and contains_inv(Inv(t))\n"
+        "assert not is_closed(t) and variables(t) == ('x',)\n"
+        "assert to_inversive(t) is not None\n"
+        "from meadow.polynomials import MultiPoly\n"
+        "c, x = MultiPoly.constant, MultiPoly.variable('x')\n"
+        "assert list(to_sum_of_simple_fractions(t)) == [(c(2**60) * x, c(1))]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fraction_predicates():

@@ -161,7 +161,7 @@ class TestSumOfSimpleFractions:
     def test_two_reciprocals_expansion(self, m6, rationals):
         t = parse("1/(1/x + 1/y)")
         s = to_sum_of_simple_fractions(t)
-        assert len(s) == 5
+        assert len(s) == 4
         assert check_eq(m6, t, s.to_term()).verdict == VALID
         assert check_eq(rationals, t, s.to_term(),
                         Sampled(1000, 0)).verdict == SAMPLED_OK
@@ -178,9 +178,9 @@ class TestSumOfSimpleFractions:
         assert len(to_sum_of_simple_fractions(ZERO)) == 0
         # a zero numerator polynomial drops its summand outright
         assert len(to_sum_of_simple_fractions(parse("0*x/y"))) == 0
-        # cancellation across summands is not attempted
+        # x/1 and -x/1 share a denominator, merge, and cancel to nothing
         s = to_sum_of_simple_fractions(parse("x - x"))
-        assert len(s) == 2
+        assert len(s) == 0
         assert check_eq(mk(6), s.to_term(), ZERO).verdict == VALID
 
     def test_inverse_signature_rejected(self):
@@ -210,6 +210,71 @@ class TestSumOfSimpleFractions:
             assert check_eq(rationals, t, s,
                             Sampled(300, 0)).verdict == SAMPLED_OK, \
                 print_term(t)
+
+
+PINNED_DIVISIONS = (
+    "1/(1/2+1/3)", "1/(x/2 + 3/y + z)", "1/(1/x)", "1/(1/x + 1/y)",
+    "1/(x - x)", "1/(1 + 2)", "(x+1)/(x/y - y/x + 1)", "1/(2/x + 3/x)",
+    "1/(x/2 - x/2 + 1/y)", "x/(1/(1/x + y))")
+
+
+def _reciprocal_of_reciprocals(k):
+    return parse("1/(" + " + ".join(f"1/x{i}" for i in range(k)) + ")")
+
+
+class TestMergedSummands:
+    """Summands with equal denominator polynomials are added up."""
+
+    @pytest.fixture(scope="class")
+    def decomposed(self):
+        rng = random.Random(1400)
+        terms = [random_term(rng, 6, names=("x", "y", "z")) for _ in range(200)]
+        terms += [parse(text) for text in PINNED_DIVISIONS]
+        return [(t, to_sum_of_simple_fractions(t)) for t in terms]
+
+    def test_equal_to_the_input_in_every_model(self, decomposed,
+                                               finite_models, rationals):
+        for t, s in decomposed:
+            out = s.to_term()
+            for model in finite_models:
+                assert check_eq(model, t, out).verdict == VALID, \
+                    (model.name, print_term(t))
+            assert check_eq(rationals, t, out,
+                            Sampled(1000, 0)).verdict == SAMPLED_OK, \
+                print_term(t)
+
+    def test_no_two_summands_share_a_denominator(self, decomposed):
+        sums = [s for _, s in decomposed]
+        sums += [to_sum_of_simple_fractions(_reciprocal_of_reciprocals(k))
+                 for k in range(1, 6)]
+        for s in sums:
+            dens = [d for _, d in s]
+            assert len(set(dens)) == len(dens)
+            assert not any(n.is_zero for n, _ in s)
+        assert sum(len(s) for s in sums[:200]) == 330  # 1264 unmerged
+
+    def test_pinned_counts(self):
+        # unmerged: 3^k - 2^k summands, 1, 5, 19, 65, 211, 665
+        assert [len(to_sum_of_simple_fractions(_reciprocal_of_reciprocals(k)))
+                for k in range(1, 7)] == [1, 4, 14, 48, 162, 536]
+        # unmerged: 10, the two copies' summands side by side
+        assert len(to_sum_of_simple_fractions(
+            parse("1/(1/x+1/y) + 1/(1/x+1/y)"))) == 4
+        s = to_sum_of_simple_fractions(parse("1/(2/x + 3/x)"))
+        assert [(print_term(n.to_term()), print_term(d.to_term()))
+                for n, d in s] == [("x*x", "5*x")]
+
+    def test_unlike_denominators_stay_apart(self, rationals):
+        s = to_sum_of_simple_fractions(parse("1/x + 1/y"))
+        assert [(print_term(n.to_term()), print_term(d.to_term()))
+                for n, d in s] == [("1", "x"), ("1", "y")]
+        # the general merge over the product of the denominators is unsound
+        report = check_eq(rationals, parse("1/x + 1/y"),
+                          parse("(x + y)/(x*y)"), Sampled(1000, 0))
+        assert report.verdict == REFUTED
+        at = {"x": Fraction(0), "y": Fraction(1)}
+        assert eval_term(rationals, s.to_term(), at) == 1
+        assert eval_term(rationals, parse("(x + y)/(x*y)"), at) == 0
 
 
 def _unshared_poly(terms):
