@@ -499,17 +499,27 @@ class GaloisMeadow(MeadowModel):
         self.p = p
         self.n = n
         self.modulus = _first_irreducible(p, n)
-        self.carrier = [self.element_at(i) for i in range(p ** n)]
         self.zero = (0,) * n
         self.one = self._pad([1 % p])
         self.generator = self._pad([0, 1]) if n >= 2 else self._pad(
             [(-self.modulus[0]) % p]
         )
 
+    is_finite = True
+
+    @property
+    def size(self) -> int:
+        return self.p ** self.n
+
+    @cached_property
+    def carrier(self) -> list:
+        """All p^n elements in index order, built on first use."""
+        return [self.element_at(i) for i in range(self.size)]
+
     def _build_tables(self):
         import numpy as np
 
-        p, q = self.p, len(self.carrier)
+        p, q = self.p, self.size
         add = np.zeros((q, q), dtype=np.int64)
         neg = np.zeros(q, dtype=np.int64)
         for d in range(self.n):
@@ -566,7 +576,7 @@ class GaloisMeadow(MeadowModel):
         return tuple(digits)
 
     def random_element(self, rng: random.Random):
-        return self.carrier[rng.randrange(len(self.carrier))]
+        return self.element_at(rng.randrange(self.size))
 
     def parse_element(self, text: str):
         from .syntax import parse

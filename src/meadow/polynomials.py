@@ -27,7 +27,7 @@ from .errors import (
 )
 from .terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE,
-    fold, iter_subterms, mk_numeral,
+    fold, mk_numeral,
 )
 
 __all__ = [
@@ -141,13 +141,17 @@ def to_canonical(t: Term, var: str) -> UniPoly:
     Pure ring-law expansion with exact integer coefficients, so the
     result evaluates identically to t in every model at every point.
     """
-    for node in iter_subterms(t):
-        if isinstance(node, (Div, Inv)):
-            raise NotPolynomialError("polynomials are division-free")
-        if isinstance(node, Var) and node.name != var:
-            raise NotPolynomialError(
-                f"unexpected variable {node.name!r}; polynomial is in {var!r}"
-            )
+    # The first offender in pre-order names the error, as in a tree walk.
+    def stranger(v, n):
+        if n is None and v.name != var:
+            return f"unexpected variable {v.name!r}; polynomial is in {var!r}"
+
+    division = "polynomials are division-free"
+    problem = fold(t, stranger, {
+        Add: lambda a, b: a or b, Mul: lambda a, b: a or b, Neg: lambda a: a,
+        Div: lambda a, b: division, Inv: lambda a: division})
+    if problem:
+        raise NotPolynomialError(problem)
     return fold(t, lambda node, n: UniPoly.identity(var) if n is None
                 else UniPoly.constant(var, n),
                 {Add: UniPoly.__add__, Mul: UniPoly.__mul__, Neg: UniPoly.__neg__})

@@ -8,6 +8,9 @@ operations that care.
 
 Every structural induction over a term goes through ``fold``, one
 iterative post-order walk, so terms nested 10^5 deep are safe there.
+Its plan of a term's distinct nodes is kept for the term planned last,
+so folds and subterm predicates on one term back to back walk it once;
+that term and its plan stay alive until another term is planned.
 Structural equality and hashing are derived by the dataclasses, and
 recursive: terms compare and serve as dictionary keys directly, below
 the recursion limit.  Operators +, -, * and / are overloaded for
@@ -164,37 +167,12 @@ def iter_subterms(t: Term) -> Iterator[Term]:
             stack.append(node.arg)
 
 
-def _instances(t: Term, cls: type, first: bool = False) -> list[Term]:
-    """The distinct subterm objects of t that are instances of cls; with
-    ``first``, at most the first one found.
-
-    One iterative walk that visits each object once, so a term sharing
-    subterms costs its distinct nodes, not its tree size.
-    """
-    found: list[Term] = []
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, cls):
-            found.append(node)
-            if first:
-                break
-        children = _CHILDREN.get(node.__class__)
-        if children is not None:
-            stack.extend(children(node))
-    return found
-
-
 def contains_div(t: Term) -> bool:
-    return bool(_instances(t, Div, first=True))
+    return any(cls is Div for cls, _, _ in _plan(t)[0])
 
 
 def contains_inv(t: Term) -> bool:
-    return bool(_instances(t, Inv, first=True))
+    return any(cls is Inv for cls, _, _ in _plan(t)[0])
 
 
 def is_divisive(t: Term) -> bool:
@@ -208,12 +186,14 @@ def is_inversive(t: Term) -> bool:
 
 
 def is_closed(t: Term) -> bool:
-    return not _instances(t, Var, first=True)
+    return not variables(t)
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names occurring in t, sorted lexicographically."""
-    return tuple(sorted({v.name for v in _instances(t, Var)}))
+    # only a variable is planned as a leaf with no integer
+    return tuple(sorted({node.name for cls, node, n in _plan(t)[0]
+                         if cls is None and n is None}))
 
 
 def _require_divisive(t: Term) -> None:
@@ -251,11 +231,39 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     n None.  ``ops[type(node)]`` folds any other node from its children's
     folds, in field order.  Numerals are found in linear time.  A subterm
     occurring several times as the same object is folded once, and each
-    folded value is dropped after its last use.
+    folded value is dropped after its last use.  Folds of the same object
+    back to back walk it once: the last term planned and its plan stay
+    alive until another term is planned.
     """
-    # Pass 1 plans each distinct node once, children first, as (None,
-    # node, n) or (op, a, b), a and b being the children's positions.  A
-    # stack entry's flag is the node's children once they are planned;
+    plan, last = _plan(t)
+    values: list[Any] = [None] * len(plan)
+    for i, (cls, a, b) in enumerate(plan):
+        if cls is None:
+            values[i] = leaf(a, b)
+            continue
+        op = ops[cls]
+        values[i] = op(values[a]) if b is None else op(values[a], values[b])
+        if last[a] == i:
+            values[a] = None
+        if b is not None and last[b] == i:
+            values[b] = None
+    return values[-1]
+
+
+# The last term planned, its plan and last-use table; no term is the sentinel.
+_slot: tuple[Any, list, dict] = (object(), [], {})
+
+
+def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
+    """Each distinct node of t once, children first, as (None, node, n) or
+    (class, a, b), a and b being the children's positions, and each
+    position's last parent; the plan of the term planned last is reused.
+    """
+    global _slot
+    slot = _slot
+    if slot[0] is t:
+        return slot[1], slot[2]
+    # A stack entry's flag is the node's children once they are planned;
     # before, True marks a p + 1 step whose + 1 chain does not start at 0.
     plan: list[tuple[Any, Any, Any]] = []
     where: dict[int, int] = {}
@@ -268,7 +276,7 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
             a = where[id(flag[0])]
             b = where[id(flag[1])] if len(flag) == 2 else None
             last[a] = last[b] = len(plan)
-            entry = ops[cls], a, b
+            entry = cls, a, b
         elif id(node) in where:
             continue
         else:
@@ -295,19 +303,8 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
             entry = None, node, n
         where[id(node)] = len(plan)
         plan.append(entry)
-
-    # Pass 2 folds in plan order, dropping each value after its last use.
-    values: list[Any] = [None] * len(plan)
-    for i, (op, a, b) in enumerate(plan):
-        if op is None:
-            values[i] = leaf(a, b)
-            continue
-        values[i] = op(values[a]) if b is None else op(values[a], values[b])
-        if last[a] == i:
-            values[a] = None
-        if b is not None and last[b] == i:
-            values[b] = None
-    return values[-1]
+    _slot = t, plan, last
+    return plan, last
 
 
 _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {

@@ -44,6 +44,13 @@ class TestEval:
         assert code == 2
         assert "NAME=VALUE" in err
 
+    @pytest.mark.parametrize("spec, value", [("gf:2^2", "b"), ("q0", "1/0")])
+    def test_assigned_value_outside_the_model(self, capsys, spec, value):
+        code, out, err = run_cli(capsys, "eval", "--model", spec, "x + 1",
+                                 "--assign", f"x={value}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {value!r} is not an element of {spec}\n"
+
 
 class TestParse:
     def test_round_trip_output(self, capsys):

@@ -280,6 +280,23 @@ class TestGalois:
         # a^2 = -1 = 2 under x^2 + 1
         assert g9.mul(g9.generator, g9.generator) == (2, 0)
 
+    def test_carrier_is_built_on_first_use(self):
+        g = gf(2, 20)
+        assert g.size == 2 ** 20 and g.is_finite
+        assert eval_term(g, x * x + ONE, {"x": g.generator}) == g.element_at(5)
+        assert g.parse_element("a") == g.generator
+        report = check_eq(g, x * y, y * x, Sampled(count=50, seed=3))
+        assert report.verdict == SAMPLED_OK
+        assert "carrier" not in vars(g)
+        # sampling draws the element at a uniform index, carrier or not
+        first, second = random.Random(5), random.Random(5)
+        g9 = gf(3, 2)
+        for _ in range(20):
+            assert (g.random_element(first)
+                    == g.element_at(second.randrange(2 ** 20)))
+            assert (g9.random_element(first)
+                    == g9.carrier[second.randrange(len(g9.carrier))])
+
     def test_prime_field_degenerate_case(self):
         g3 = gf(3, 1)
         assert g3.size == 3

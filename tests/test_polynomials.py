@@ -1,4 +1,7 @@
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +95,36 @@ class TestToCanonical:
             to_canonical(parse("1/x"), "x")
         with pytest.raises(NotPolynomialError):
             to_canonical(parse("x + y"), "x")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x/y", "polynomials are division-free"),
+        ("y + x/x", "unexpected variable 'y'; polynomial is in 'x'"),
+        ("x*-(z/x) + y", "polynomials are division-free"),
+        ("x*(x + z) + y", "unexpected variable 'z'; polynomial is in 'x'"),
+    ])
+    def test_first_offender_in_preorder_names_the_error(self, text, message):
+        with pytest.raises(NotPolynomialError, match=f"^{re.escape(message)}$"):
+            to_canonical(parse(text), "x")
+
+    def test_shared_subterms_are_checked_once(self):
+        # 60 doublings of x + 1: a tree of 2^62 - 1 nodes, 63 distinct ones
+        script = (
+            "from meadow import Div, Var, ONE, NotPolynomialError, to_canonical\n"
+            "t = Var('x') + ONE\n"
+            "for _ in range(60):\n"
+            "    t = t + t\n"
+            "assert to_canonical(t, 'x').coeffs == (2**60, 2**60)\n"
+            "for bad in (Div(t, t), t + Var('y')):\n"
+            "    try:\n"
+            "        to_canonical(bad, 'x')\n"
+            "    except NotPolynomialError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise AssertionError(bad)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_round_trip_through_terms(self):
         rng = random.Random(62)

@@ -1,6 +1,8 @@
+import operator
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,12 @@ from meadow import (
     numeral_value, power, substitute, to_divisive, to_inversive,
     variables, wrap_as_fraction,
 )
-from meadow import eval_term, q0
+from meadow import (
+    closed_to_simple_fraction_q0, eval_term, gf, mk, parse, print_term, q0,
+    to_basic,
+)
+from meadow import terms
+from meadow.terms import fold
 
 from gen import random_term
 
@@ -179,3 +186,85 @@ def test_power_multiplicity(n):
     x = Var("x")
     t = power(x, n)
     assert sum(1 for s in iter_subterms(t) if s == x) == n
+
+
+def _count(t):
+    """Nodes in the tree of t, a numeral chain counting as one leaf."""
+    return fold(t, lambda node, n: 1, {
+        Add: lambda a, b: a + b + 1, Mul: lambda a, b: a + b + 1,
+        Div: lambda a, b: a + b + 1, Neg: lambda a: a + 1,
+        Inv: lambda a: a + 1})
+
+
+class TestPlanReuse:
+    def test_second_fold_of_the_same_object_does_not_walk_it(self, monkeypatch):
+        t = Var("x")
+        for _ in range(100_000):
+            t = Add(t, Var("y"))
+        assert _count(t) == 200_001
+
+        def no_children(node):
+            raise AssertionError(f"walked {type(node).__name__} again")
+
+        monkeypatch.setattr(terms, "_CHILDREN",
+                            dict.fromkeys(terms._CHILDREN, no_children))
+        assert _count(t) == 200_001
+        assert not is_closed(t)
+        with pytest.raises(AssertionError, match="walked Add again"):
+            _count(Add(t, ONE))
+
+    def test_one_plan_serves_folds_with_different_callbacks(self):
+        t = parse("(x + 1)*-(x/(0 + 1 + 1))")
+        value = {"x": Fraction(3)}
+        evaluate = {Add: operator.add, Mul: operator.mul,
+                    Neg: operator.neg, Div: operator.truediv}
+        leaf = lambda node, n: value[node.name] if n is None else Fraction(n)
+        for _ in range(2):
+            assert fold(t, leaf, evaluate) == -6
+            assert fold(t, lambda node, n: 1, {
+                Add: max, Mul: max, Div: max, Neg: abs}) == 1
+            assert print_term(t) == "(x + 1)*-(x/2)"
+            assert _count(t) == 8
+
+    def test_failed_folds_leave_a_working_plan(self):
+        t = parse("1/(x + 2) - 3*x")
+        want = _count(t)
+        bad = Add(t, 5)
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not a term: 5"):
+                _count(bad)
+            assert _count(t) == want
+
+        def refuse(a, b):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            fold(t, lambda node, n: 1, {Add: max, Mul: max, Neg: abs,
+                                        Div: refuse})
+        assert _count(t) == want
+
+    def test_fold_nested_in_a_callback_keeps_the_outer_plan(self):
+        t = parse("(x + y)*(x - y)")
+        inner = parse("1/z + z")
+        nested = fold(t, lambda node, n: _count(inner) if n is None else 0, {
+            Add: operator.add, Mul: operator.add, Neg: operator.neg})
+        # each variable folds to _count(inner) = 5, a product to a sum
+        assert nested == (5 + 5) + (5 - 5)
+        assert _count(t) == 8
+
+    def test_cold_and_warm_plans_give_the_same_results(self, corpus):
+        models = [q0(), mk(6), gf(2, 2)]
+
+        def results(t):
+            return (print_term(t), to_basic(t),
+                    closed_to_simple_fraction_q0(t),
+                    *(eval_term(m, t) for m in models))
+
+        for t in corpus:
+            cold = []
+            for f in (print_term, to_basic, closed_to_simple_fraction_q0,
+                      *(lambda t, m=m: eval_term(m, t) for m in models)):
+                is_closed(ONE)  # plans another term
+                cold.append(f(t))
+            is_closed(t)
+            assert results(t) == tuple(cold)
