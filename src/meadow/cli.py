@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import MeadowError, UnboundVariableError
+from .errors import MeadowError
 from .models import (
     Exhaustive, Sampled, REFUTED, VALID,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
@@ -138,11 +138,7 @@ def _parse_assignment(model, items: list[str]) -> dict:
             name, sep, value = piece.partition("=")
             if not sep or not name.strip():
                 raise ValueError(f"bad --assign {piece!r}: expected NAME=VALUE")
-            try:
-                binding[name.strip()] = model.parse_element(value.strip())
-            except (UnboundVariableError, ZeroDivisionError):
-                raise ValueError(f"{value.strip()!r} is not an element of "
-                                 f"{model.name}") from None
+            binding[name.strip()] = model.parse_element(value.strip())
     return binding
 
 

@@ -18,11 +18,15 @@ pairs (n, d) with d > 0, see ``RationalMeadow``, and hands back
 ``check_eq`` decides equations over a finite model by exhausting all
 assignments (vectorized over numpy lookup tables; numpy is imported by
 the first table build), and tests them on an infinite model by
-deterministic seeded sampling.  Finite carriers above ``MAX_CARRIER``
-are refused before anything is built.  Reports are plain data and are
-reproducible: same model, equation, strategy and seed give the identical
-report.  Everything runs in one thread; determinism is part of the
-contract, speed comes from the tables.
+deterministic seeded sampling.  A sweep runs in chunks of at most
+``SWEEP_CHUNK`` assignments in lexicographic order, so its memory does
+not grow with the number of assignments; a sweep of more than
+``MAX_ASSIGNMENTS`` is refused before its tables are built.  Finite
+carriers above ``MAX_CARRIER`` are refused before anything is built.
+Reports are plain data and are reproducible: same model, equation,
+strategy and seed give the identical report.  Everything runs in one
+thread; determinism is part of the contract, speed comes from the
+tables.
 """
 from __future__ import annotations
 
@@ -122,6 +126,10 @@ class MeadowModel:
         return f"<{type(self).__name__} {self.name}>"
 
 
+def _not_an_element(model: MeadowModel, text: str) -> ValueError:
+    return ValueError(f"{text!r} is not an element of {model.name}")
+
+
 class ProgramOps(NamedTuple):
     """How a compiled program computes in a model.
 
@@ -188,7 +196,10 @@ class RationalMeadow(MeadowModel):
         return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
 
     def parse_element(self, text: str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise _not_an_element(self, text) from None
 
     def format_element(self, e) -> str:
         return str(e)
@@ -353,7 +364,10 @@ class ModularMeadow(MeadowModel):
         return rng.randrange(self.k)
 
     def parse_element(self, text: str):
-        v = int(text)
+        try:
+            v = int(text)
+        except ValueError:
+            raise _not_an_element(self, text) from None
         if not 0 <= v < self.k:
             raise ValueError(f"{v} is outside the carrier 0..{self.k - 1}")
         return v
@@ -582,7 +596,10 @@ class GaloisMeadow(MeadowModel):
         from .syntax import parse
 
         term = parse(text, "divisive")
-        return eval_term(self, term, {"a": self.generator})
+        try:
+            return eval_term(self, term, {"a": self.generator})
+        except UnboundVariableError:
+            raise _not_an_element(self, text) from None
 
     def format_element(self, e) -> str:
         parts = []
@@ -705,6 +722,8 @@ def eval_term(model: MeadowModel, t: Term,
 
 MAX_CARRIER = 1 << 20        # a finite model takes O(q) time and memory
 MAX_TABLE_CARRIER = 2048     # three q x q int64 tables: 100 MB at q = 2048
+SWEEP_CHUNK = 1 << 16        # assignments a sweep holds in arrays at once
+MAX_ASSIGNMENTS = 1 << 30    # the most assignments an exhaustive check sweeps
 
 
 def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
@@ -728,33 +747,46 @@ def _op_tables(model: MeadowModel):
 
 
 def _check_exhaustive(model, steps, left, right, names):
+    q, k = model.size, len(names)
+    count = q ** k
+    if count > MAX_ASSIGNMENTS:
+        raise CarrierTooLargeError(
+            f"{model.name} has {q} elements, so {k} variables give {count} "
+            f"assignments, more than the {MAX_ASSIGNMENTS} that exhaustive "
+            "checking sweeps: check by sampling instead "
+            "(--strategy sampled --samples N)")
     add, mul, neg, div = _op_tables(model)
     import numpy as np
 
-    q = model.size
-    k = len(names)
-    shape = (q,) * k
-    # Variable j varies along axis j only and the table lookups broadcast,
-    # so a subterm's array spans just the variables it contains.
-    axes = {name: np.arange(q).reshape((1,) * j + (q,) + (1,) * (k - 1 - j))
-            for j, name in enumerate(names)}
-    regs = _run(
-        steps, lambda n: model.index_of(model.of_int(n)),
-        axes.__getitem__, lambda a, b: add[a, b], lambda a, b: mul[a, b],
-        neg.__getitem__, lambda a, b: div[a, b],
-    )
-    count = q ** k
-    mismatch = np.broadcast_to(regs[left] != regs[right], shape)
-    if not mismatch.any():
-        return CheckReport(VALID, None, count)
-    # Assignments are enumerated in lexicographic order over the carrier
-    # with the first variable most significant, so the first mismatch is
-    # the lexicographically least counterexample.
-    first = np.unravel_index(int(np.argmax(mismatch)), shape)
-    witness = {
-        name: model.element_at(int(i)) for name, i in zip(names, first)
-    }
-    return CheckReport(REFUTED, witness, count)
+    # A chunk fixes the leading variables to plain ints and sweeps the
+    # trailing ones, as many as fit in SWEEP_CHUNK assignments.  Trailing
+    # variable j varies along axis j only and the table lookups broadcast,
+    # so a subterm's array spans just the trailing variables it contains.
+    width = 0
+    while width < k and q ** (width + 1) <= SWEEP_CHUNK:
+        width += 1
+    lead, shape = k - width, (q,) * width
+    env = {name: np.arange(q).reshape((1,) * j + (q,) + (1,) * (width - j - 1))
+           for j, name in enumerate(names[lead:])}
+    consts = {a: model.index_of(model.of_int(a))
+              for kind, a, _, _ in steps if kind == _CONST}
+    # Chunks, and the assignments within a chunk, come in lexicographic
+    # order over the carrier with the first variable most significant, so
+    # the first mismatch is the lexicographically least counterexample.
+    for fixed in itertools.product(range(q), repeat=lead):
+        env.update(zip(names, fixed))
+        regs = _run(
+            steps, consts.__getitem__, env.__getitem__,
+            lambda a, b: add[a, b], lambda a, b: mul[a, b],
+            neg.__getitem__, lambda a, b: div[a, b],
+        )
+        mismatch = np.broadcast_to(regs[left] != regs[right], shape)
+        if mismatch.any():
+            rest = np.unravel_index(int(np.argmax(mismatch)), shape)
+            witness = {name: model.element_at(int(i))
+                       for name, i in zip(names, fixed + rest)}
+            return CheckReport(REFUTED, witness, count)
+    return CheckReport(VALID, None, count)
 
 
 def _check_sampled(model, steps, left, right, names, strategy: Sampled):

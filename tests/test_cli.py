@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from meadow.cli import main
+from meadow.models import GaloisMeadow
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +45,8 @@ class TestEval:
         assert code == 2
         assert "NAME=VALUE" in err
 
-    @pytest.mark.parametrize("spec, value", [("gf:2^2", "b"), ("q0", "1/0")])
+    @pytest.mark.parametrize("spec, value", [
+        ("gf:2^2", "b"), ("q0", "1/0"), ("mk:6", "z"), ("q0", "z")])
     def test_assigned_value_outside_the_model(self, capsys, spec, value):
         code, out, err = run_cli(capsys, "eval", "--model", spec, "x + 1",
                                  "--assign", f"x={value}")
@@ -344,6 +346,20 @@ def test_huge_finite_model_is_domain_error(spec):
     assert "Traceback" not in proc.stderr
 
 
+def test_oversized_sweep_is_domain_error(capsys, monkeypatch):
+    # refused by assignment count before the op tables are built
+    def no_tables(model):
+        raise AssertionError("op tables built")
+    monkeypatch.setattr(GaloisMeadow, "_build_tables", no_tables)
+    code, out, err = run_cli(capsys, "check", "a+b+c+d+e+f+g = g+f+e+d+c+b+a",
+                             "--model", "gf:2^8")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: gf:2^8 has 256 elements, so 7 variables give {256 ** 7} "
+        f"assignments, more than the {1 << 30} that exhaustive checking "
+        "sweeps: check by sampling instead (--strategy sampled --samples N)\n")
+
+
 # README-session commands that never build an op table
 NUMPY_FREE_COMMANDS = [
     ["eval", "1 + 1/2", "--model", "q0"],
@@ -375,6 +391,15 @@ with contextlib.redirect_stderr(err):
 assert code == 2 and err.getvalue().startswith(
     "error: gf:2^16 has 65536 elements, more than the 2048"), err.getvalue()
 assert "numpy" not in sys.modules, "gf:2^16"
+# an over-bound sweep is refused before any table build
+meadow.models.GaloisMeadow._build_tables = None
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = meadow.cli.main(["check", "a+b+c = c+b+a", "--model", "gf:2^11"])
+assert code == 2 and err.getvalue().startswith(
+    "error: gf:2^11 has 2048 elements, so 3 variables give 8589934592 "
+    "assignments"), err.getvalue()
+assert "numpy" not in sys.modules, "gf:2^11"
 x = meadow.Var("x")
 assert meadow.check_eq(meadow.mk(6), x, x).verdict == "valid"
 assert "numpy" in sys.modules, "check_eq"

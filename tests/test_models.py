@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from meadow import (
     characteristic, check_eq, crt_decompose, derived_division_identities,
     division_axioms, eval_term, gf, inverse_axioms, mk, mk_numeral,
     model_from_spec, parse, power, q0, ring_axioms,
-    to_sum_of_simple_fractions, variables,
+    to_simple_fraction_finite, to_sum_of_simple_fractions, variables,
 )
 from meadow import models
 from meadow.models import (
@@ -419,6 +420,89 @@ class TestCheckEq:
                           Sampled(3))
         assert report.verdict == SAMPLED_OK
         assert len(calls) == 2 * 3
+
+
+def _brute_force_check(model, lhs, rhs):
+    """Verdict and counterexample from eval_term on every assignment, in
+    lexicographic order over the carrier with variables in name order."""
+    names = sorted(set(variables(lhs)) | set(variables(rhs)))
+    for values in itertools.product(model.carrier, repeat=len(names)):
+        env = dict(zip(names, values))
+        if eval_term(model, lhs, env) != eval_term(model, rhs, env):
+            return REFUTED, env
+    return VALID, None
+
+
+def _no_tables(model):
+    raise AssertionError(f"op tables of {model.name} built")
+
+
+class TestChunkedSweep:
+    def test_matches_brute_force_on_every_finite_model(self, finite_models):
+        rng = random.Random(2718)
+        for model in finite_models:
+            names = ("x", "y") if model.size > 9 else ("x", "y", "z")
+            terms = [random_term(rng, 4, names=names) for _ in range(12)]
+            verdicts = []
+            for lhs, other in zip(terms, terms[1:] + terms[:1]):
+                same = to_simple_fraction_finite(model, lhs)
+                for rhs in (same, Add(same, ONE), other):
+                    report = check_eq(model, lhs, rhs)
+                    assert (report.verdict, report.counterexample) == \
+                        _brute_force_check(model, lhs, rhs), \
+                        (model.name, lhs, rhs)
+                    count = len(set(variables(lhs)) | set(variables(rhs)))
+                    assert report.evaluations == model.size ** count
+                    verdicts.append(report.verdict)
+            assert set(verdicts) == {VALID, REFUTED}, model.name
+
+    @pytest.mark.parametrize("lhs, rhs, witness", [
+        ("a + b + c + d", "b + c + d", {"a": 1, "b": 0, "c": 0, "d": 0}),
+        ("a*d + b + c", "b + c", {"a": 1, "b": 0, "c": 0, "d": 1}),
+        ("b*e + c + d + a", "a + c + d",
+         {"a": 0, "b": 1, "c": 0, "d": 0, "e": 1}),
+    ])
+    def test_least_counterexample_outside_the_first_chunk(self, m30, lhs,
+                                                          rhs, witness):
+        # a chunk holds the last three variables over mk:30
+        assert 30 ** 3 <= models.SWEEP_CHUNK < 30 ** 4
+        lhs, rhs = parse(lhs), parse(rhs)
+        report = check_eq(m30, lhs, rhs)
+        assert report == CheckReport(REFUTED, witness, 30 ** len(witness))
+        assert _brute_force_check(m30, lhs, rhs) == (REFUTED, witness)
+
+    def test_memory_is_bounded_by_the_chunk(self, m30):
+        lhs = parse("(a + b)*(c + d + e)")
+        rhs = parse("a*c + a*d + a*e + b*c + b*d + b*e")
+        _op_tables(m30)
+        tracemalloc.start()
+        try:
+            report = check_eq(m30, lhs, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == CheckReport(VALID, None, 30 ** 5)
+        assert peak < 16 << 20, peak
+
+    def test_oversized_sweep_is_refused_before_tables(self, monkeypatch):
+        monkeypatch.setattr(models.GaloisMeadow, "_build_tables", _no_tables)
+        g = gf(2, 8)
+        lhs, rhs = parse("a+b+c+d+e+f+g"), parse("g+f+e+d+c+b+a")
+        with pytest.raises(CarrierTooLargeError) as err:
+            check_eq(g, lhs, rhs)
+        assert str(err.value) == (
+            "gf:2^8 has 256 elements, so 7 variables give "
+            f"{256 ** 7} assignments, more than the {1 << 30} that "
+            "exhaustive checking sweeps: check by sampling instead "
+            "(--strategy sampled --samples N)")
+        assert not hasattr(g, "_op_tables")
+        assert check_eq(g, lhs, rhs, Sampled(20)).verdict == SAMPLED_OK
+
+    def test_six_variables_over_mk30_are_within_the_bound(self, m30):
+        lhs = parse("a + b + c + d + e + f")
+        report = check_eq(m30, lhs, Add(lhs, ONE))
+        assert report == CheckReport(REFUTED, dict.fromkeys("abcdef", 0),
+                                     30 ** 6)
 
 
 class TestCharacteristic:
