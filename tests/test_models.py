@@ -499,6 +499,8 @@ class TestChunkedSweep:
         assert check_eq(g, lhs, rhs, Sampled(20)).verdict == SAMPLED_OK
 
     def test_six_variables_over_mk30_are_within_the_bound(self, m30):
+        # read first: without the chunked sweep this check needs GBs
+        assert 30 ** 6 <= models.MAX_ASSIGNMENTS
         lhs = parse("a + b + c + d + e + f")
         report = check_eq(m30, lhs, Add(lhs, ONE))
         assert report == CheckReport(REFUTED, dict.fromkeys("abcdef", 0),
