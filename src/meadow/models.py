@@ -97,11 +97,14 @@ class MeadowModel:
 
     Elements are plain hashable Python values compared with ==; subclasses
     fix the representation.  ``carrier`` is None exactly when the model is
-    infinite.
+    infinite.  Each model states its ``characteristic``; the finite ones
+    also state ``unit_exponent``, the least e >= 1 with u**e = 1 for every
+    unit u, so that x**(e + 1) = x for every element x.
     """
 
     name: str
     carrier: list | None
+    characteristic: int
 
     @property
     def is_finite(self) -> bool:
@@ -112,9 +115,6 @@ class MeadowModel:
         if self.carrier is None:
             raise InfiniteExhaustiveError(f"{self.name} has an infinite carrier")
         return len(self.carrier)
-
-    def eval(self, t: Term, assignment: Mapping[str, Any] | None = None):
-        return eval_term(self, t, assignment)
 
     def _program_ops(self) -> "ProgramOps":
         """The ops compiled programs run with: here the model's own, on
@@ -171,7 +171,7 @@ class RationalMeadow(MeadowModel):
         self.carrier = None
         self.zero = Fraction(0)
         self.one = Fraction(1)
-        self.known_characteristic = 0
+        self.characteristic = 0
 
     def add(self, a, b):
         return a + b
@@ -205,11 +205,7 @@ class RationalMeadow(MeadowModel):
         return str(e)
 
     def _program_ops(self) -> "ProgramOps":
-        # The pairs compute what add, mul, neg and div above compute; a
-        # subclass that redefines one of them runs on its own elements.
-        if any(getattr(type(self), op) is not getattr(RationalMeadow, op)
-               for op in ("add", "mul", "neg", "div")):
-            return super()._program_ops()
+        # The pairs compute what add, mul, neg and div above compute.
         return _PAIR_OPS
 
 
@@ -306,10 +302,10 @@ class ModularMeadow(MeadowModel):
     """Z/kZ with division a/b = a * w(b), where w(b) is the weak inverse.
 
     The weak inverse of b is the unique w with b*w*b = b and w*b*w = w; it
-    exists for every residue exactly when k is square-free.  Under the
-    Chinese-remainder decomposition Z/kZ = F_p1 x ... x F_pr it is the
-    componentwise field inverse, with 0 for a zero component, so building
-    all k of them costs O(k * r) modular powers, paid on the first
+    exists for every residue exactly when k is square-free.  Then every b
+    satisfies b**(l + 1) = b, where the unit exponent l is lcm(p - 1) over
+    the primes p of k (Carmichael's function), so w(b) = b**(2l - 1).
+    Building all k of them costs k modular powers, paid on the first
     division.  The op tables are index arithmetic mod k.
     """
 
@@ -319,6 +315,8 @@ class ModularMeadow(MeadowModel):
         self.primes = _square_free_primes(k)
         self.name = f"mk:{k}"
         self.k = k
+        self.characteristic = k
+        self.unit_exponent = math.lcm(*(p - 1 for p in self.primes))
         self.carrier = list(range(k))
         self.zero = 0
         self.one = 1 % k
@@ -326,11 +324,8 @@ class ModularMeadow(MeadowModel):
     @cached_property
     def weak_inverse(self) -> tuple[int, ...]:
         """w(b) for every residue b, built on first use."""
-        # pow(0, p - 2, p) is 1 for p = 2, so zero components are guarded.
-        return tuple(
-            _crt_combine([pow(b, p - 2, p) if b % p else 0
-                          for p in self.primes], self.primes)
-            for b in range(self.k))
+        e = 2 * self.unit_exponent - 1
+        return tuple(pow(b, e, self.k) for b in range(self.k))
 
     def _build_tables(self):
         import numpy as np
@@ -512,6 +507,8 @@ class GaloisMeadow(MeadowModel):
         self.name = f"gf:{p}^{n}"
         self.p = p
         self.n = n
+        self.characteristic = p
+        self.unit_exponent = p ** n - 1
         self.modulus = _first_irreducible(p, n)
         self.zero = (0,) * n
         self.one = self._pad([1 % p])
@@ -829,23 +826,12 @@ def check_eq(model: MeadowModel, lhs: Term, rhs: Term,
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def characteristic(model: MeadowModel, search_bound: int = 1000) -> int | None:
-    """Least k >= 1 with numeral k = 0 in the model.
+def characteristic(model: MeadowModel) -> int:
+    """Least k >= 1 with numeral k = 0 in the model, or 0 if there is none.
 
-    Finite carriers are searched exactly.  Models that know their
-    characteristic (q0 knows 0) answer directly; otherwise the search is
-    capped at search_bound and None means "not found below the bound".
+    Every model states it: 0 for q0, k for mk:k and p for gf:p^n.
     """
-    known = getattr(model, "known_characteristic", None)
-    if known is not None:
-        return known
-    bound = model.size if model.is_finite else search_bound
-    acc = model.zero
-    for i in range(1, bound + 1):
-        acc = model.add(acc, model.one)
-        if acc == model.zero:
-            return i
-    return None
+    return model.characteristic
 
 
 # -- named equation suites --------------------------------------------------

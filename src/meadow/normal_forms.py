@@ -336,7 +336,7 @@ def tidy(b: BasicTerm, finite_model=None) -> BasicTerm:
     can still fail in some other model, which is why ``to_basic`` never
     reduces.
     """
-    from .models import eval_term, mk, q0
+    from .models import mk, q0
 
     finite = finite_model if finite_model is not None else mk(6)
     rationals = q0()
@@ -345,11 +345,8 @@ def tidy(b: BasicTerm, finite_model=None) -> BasicTerm:
         g = math.gcd(s.num, s.den)
         if g > 1:
             reduced = SignedFraction(s.sign, s.num // g, s.den // g)
-            same_q0 = (eval_term(rationals, s.to_term())
-                       == eval_term(rationals, reduced.to_term()))
-            same_finite = (eval_term(finite, s.to_term())
-                           == eval_term(finite, reduced.to_term()))
-            if same_q0 and same_finite:
+            if all(s.eval_in(m) == reduced.eval_in(m)
+                   for m in (rationals, finite)):
                 s = reduced
         out.append(s)
     out.sort(key=lambda f: (f.den, -f.sign, f.num))

@@ -155,16 +155,9 @@ def iter_subterms(t: Term) -> Iterator[Term]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Add, Mul)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Div):
-            stack.append(node.den)
-            stack.append(node.num)
-        elif isinstance(node, Inv):
-            stack.append(node.arg)
+        children = _CHILDREN.get(node.__class__)
+        if children is not None:
+            stack.extend(reversed(children(node)))
 
 
 def contains_div(t: Term) -> bool:

@@ -7,9 +7,10 @@ Four constructions live here:
   and, as a cross-check, by folding the basic form with the merge rule
   that is valid in characteristic zero.
 * ``eliminate_division`` / ``to_simple_fraction_finite`` -- a finite
-  model satisfies x**n = x**m for some least pair, which turns every
-  reciprocal into a power: 1/q = q**(2(n-m)-1).  Division disappears,
-  so any term becomes a simple fraction over that model.
+  model satisfies x**n = x**m for the least pair (n, m) = (l + 1, 1),
+  l being the model's unit exponent, which turns every reciprocal into
+  a power: 1/q = q**(2(n-m)-1).  Division disappears, so any term
+  becomes a simple fraction over that model.
 * ``to_sum_of_simple_fractions`` -- with variables present, no single
   fraction suffices across models; instead any term in the division
   signature becomes a finite sum of polynomial fractions, case-split
@@ -29,7 +30,7 @@ from .errors import (
     InfiniteCarrierError, MixedSignatureError, NoWitnessConstructedError,
     OpenTermError,
 )
-from .models import GaloisMeadow, eval_term, q0
+from .models import eval_term, q0
 from .normal_forms import product, split_reciprocal, to_basic
 from .polynomials import MultiPoly, _poly_term
 from .terms import (
@@ -126,30 +127,15 @@ class ExponentPair:
 def find_annihilating_exponents(model) -> ExponentPair:
     """Least (n, m), ordered by n then m, with x**n = x**m everywhere.
 
-    Finite carriers only; existence follows because the power maps
-    x -> x**k repeat eventually.  Field extensions short-cut to
-    (order, 1), which the search provably returns anyway (the unit
-    group is cyclic of order q - 1).
+    Finite carriers only.  The shipped finite models have no nonzero
+    nilpotents, so x**n = x**m with n > m >= 1 holds everywhere exactly
+    when the unit exponent l divides n - m; the least pair is (l + 1, 1).
     """
     if not model.is_finite:
         raise InfiniteCarrierError(
             f"{model.name} admits no uniform power identity"
         )
-    if isinstance(model, GaloisMeadow):
-        return ExponentPair(model.size, 1)
-    carrier = list(model.carrier)
-    powers = [None, tuple(carrier)]  # powers[e][i] = carrier[i] ** e
-    n = 1
-    while True:
-        n += 1
-        powers.append(tuple(
-            model.mul(v, carrier[i]) for i, v in enumerate(powers[n - 1])
-        ))
-        for m in range(1, n):
-            if powers[n] == powers[m]:
-                return ExponentPair(n, m)
-        if n > model.size ** 2 + 1:
-            raise AssertionError(f"power search overran on {model.name}")
+    return ExponentPair(model.unit_exponent + 1, 1)
 
 
 def eliminate_division(model, t: Term) -> Term:

@@ -11,7 +11,7 @@ import pytest
 from meadow import (
     Add, Div, Inv, Mul, Neg, ONE, Var, ZERO,
     CarrierTooLargeError, CheckReport, Exhaustive, InfiniteExhaustiveError,
-    NonSquareFreeError, NotPrimeError, REFUTED, RationalMeadow, SAMPLED_OK,
+    NonSquareFreeError, NotPrimeError, REFUTED, SAMPLED_OK,
     Sampled, UnboundVariableError, VALID,
     characteristic, check_eq, crt_decompose, derived_division_identities,
     division_axioms, eval_term, gf, inverse_axioms, mk, mk_numeral,
@@ -406,12 +406,12 @@ class TestCheckEq:
     def test_equal_subterms_are_evaluated_once(self):
         calls = []
 
-        class Counting(RationalMeadow):
+        class Counting(models.ModularMeadow):
             def mul(self, a, b):
                 calls.append((a, b))
-                return a * b
+                return super().mul(a, b)
 
-        model = Counting()
+        model = Counting(101)
         cube = parse("x*x*x")
         assert eval_term(model, Add(cube, parse("x*x*x")), {"x": 2}) == 16
         assert len(calls) == 2
@@ -515,6 +515,16 @@ class TestCharacteristic:
         assert characteristic(m30) == 30
         assert characteristic(g4) == 2
         assert characteristic(g9) == 3
+
+
+def test_characteristic_matches_counting():
+    # the least k >= 1 with 1 + ... + 1 (k ones) = 0, counted out
+    for model in [mk(k) for k in (2, 3, 5, 6, 7, 10, 30, 210)] + \
+            [gf(2, 1), gf(2, 3), gf(3, 2), gf(5, 2)]:
+        acc, count = model.one, 1
+        while acc != model.zero:
+            acc, count = model.add(acc, model.one), count + 1
+        assert characteristic(model) == count, model.name
 
 
 class TestModelFromSpec:

@@ -13,6 +13,7 @@ from meadow import (
     is_basic_term, mk, mk_numeral, parse, print_term, q0, render_basic, tidy,
     to_basic, to_sum_of_simple_fractions,
 )
+from meadow import normal_forms
 from meadow.normal_forms import render_quotient, split_reciprocal
 from meadow.polynomials import MultiPoly
 
@@ -295,6 +296,17 @@ class TestTidy:
         five = mk(5)
         assert eval_term(five, b.to_term()) == 0
         assert eval_term(five, SignedFraction(1, 1, 2).to_term()) != 0
+
+    def test_reduces_without_building_numerals(self, monkeypatch):
+        # As numeral chains 2^20/2^19 has 1.5 million nodes; tidy compares
+        # the summands' values without spelling them.
+        b = to_basic(parse("2^20/2^19"))
+
+        def no_numerals(n):
+            raise AssertionError(f"numeral chain for {n} built")
+
+        monkeypatch.setattr(normal_forms, "mk_numeral", no_numerals)
+        assert summand_triples(tidy(b)) == [(1, 2, 1)]
 
     def test_preserves_value_in_checked_models(self, rationals, m6):
         rng = random.Random(505)

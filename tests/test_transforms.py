@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,24 @@ class TestClosedSimpleFractionQ0:
             assert direct == via, print_term(t)
 
 
+def _least_pair_by_search(model) -> ExponentPair:
+    """The least (n, m), ordered by n then m, with x**n = x**m on the
+    whole carrier, read off a table of the carrier's powers."""
+    carrier = list(model.carrier)
+    powers = [None, tuple(carrier)]  # powers[e][i] = carrier[i] ** e
+    while True:
+        powers.append(tuple(model.mul(v, x)
+                            for v, x in zip(powers[-1], carrier)))
+        n = len(powers) - 1
+        for m in range(1, n):
+            if powers[n] == powers[m]:
+                return ExponentPair(n, m)
+
+
+def _square_free(k: int) -> bool:
+    return all(k % (d * d) for d in range(2, math.isqrt(k) + 1))
+
+
 class TestExponentPairs:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,10 +103,37 @@ class TestExponentPairs:
         assert find_annihilating_exponents(g9) == ExponentPair(9, 1)
 
     def test_galois_shortcut_matches_search(self):
-        # a prime field is also a modular model; the closed form and the
-        # search must land on the same pair
+        # a prime field is also a modular model; the two closed forms,
+        # q - 1 and lcm(p - 1) over the primes of k, must give one pair
         assert find_annihilating_exponents(gf(5, 1)) == \
             find_annihilating_exponents(mk(5))
+
+    def test_modular_closed_form_matches_search(self):
+        square_free = [k for k in range(2, 101) if _square_free(k)]
+        assert len(square_free) == 60
+        for k in square_free:
+            model = mk(k)
+            assert find_annihilating_exponents(model) == \
+                _least_pair_by_search(model), k
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                     (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_galois_closed_form_matches_search(self, p, n):
+        model = gf(p, n)
+        assert find_annihilating_exponents(model) == \
+            _least_pair_by_search(model)
+
+    def test_pair_needs_no_table_of_powers(self):
+        # a table of the powers of all 2003 residues takes over 100 MB
+        model = mk(2003)
+        tracemalloc.start()
+        try:
+            pair = find_annihilating_exponents(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair == ExponentPair(2003, 1)
+        assert peak < 1 << 20, peak
 
     def test_pair_actually_annihilates(self, finite_models):
         x = Var("x")
