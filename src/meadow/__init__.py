@@ -6,142 +6,20 @@ sums of numeral fractions, evaluation and equation checking over the
 zero-totalized rationals, the modular rings mk(k), and the Galois fields
 gf(p, n), canonical polynomials, and the fraction transforms built on
 top of them.  Everything is exact; no floats are involved anywhere.
+
+Each module lists its public names in its own ``__all__``; the package
+exports exactly the union of those lists.
 """
-from .errors import (
-    CarrierTooLargeError,
-    InfiniteCarrierError,
-    InfiniteExhaustiveError,
-    MeadowError,
-    MixedSignatureError,
-    NoWitnessConstructedError,
-    NonSquareFreeError,
-    NotPolynomialError,
-    NotPrimeError,
-    NotRingTermError,
-    OpenTermError,
-    ParseError,
-    PremiseFailedError,
-    SignatureError,
-    UnboundVariableError,
-)
-from .models import (
-    REFUTED,
-    SAMPLED_OK,
-    VALID,
-    CheckReport,
-    CrtDecomposition,
-    Exhaustive,
-    GaloisMeadow,
-    MeadowModel,
-    ModularMeadow,
-    RationalMeadow,
-    Sampled,
-    characteristic,
-    check_eq,
-    crt_decompose,
-    derived_division_identities,
-    division_axioms,
-    eval_term,
-    gf,
-    inverse_axioms,
-    mk,
-    model_from_spec,
-    q0,
-    ring_axioms,
-)
-from .normal_forms import (
-    BasicTerm,
-    SignedFraction,
-    cr_normal,
-    guard,
-    is_basic_term,
-    render_basic,
-    tidy,
-    to_basic,
-)
-from .polynomials import (
-    Monomial,
-    MultiPoly,
-    UniPoly,
-    annihilator,
-    constant_over,
-    degree_over,
-    non_trivial_over,
-    roots_over,
-    to_canonical,
-    verified_annihilator,
-)
-from .syntax import parse, print_term, term_from_data, term_to_data
-from .terms import (
-    ONE,
-    ZERO,
-    Add,
-    Div,
-    Inv,
-    Mul,
-    Neg,
-    One,
-    Term,
-    Var,
-    Zero,
-    contains_div,
-    contains_inv,
-    is_closed,
-    is_divisive,
-    is_fraction,
-    is_inversive,
-    is_simple_fraction,
-    iter_subterms,
-    mk_numeral,
-    numeral_value,
-    power,
-    substitute,
-    to_divisive,
-    to_inversive,
-    variables,
-    wrap_as_fraction,
-)
-from .transforms import (
-    ExponentPair,
-    SimpleClosedFraction,
-    SumOfSimpleFractions,
-    closed_to_simple_fraction_q0,
-    closed_to_simple_fraction_q0_via_basic,
-    eliminate_division,
-    falsify_simple_fraction_claim,
-    find_annihilating_exponents,
-    guard_identities,
-    to_simple_fraction_finite,
-    to_sum_of_simple_fractions,
-)
+from .errors import *
+from .models import *
+from .normal_forms import *
+from .polynomials import *
+from .syntax import *
+from .terms import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Add", "BasicTerm", "CarrierTooLargeError", "CheckReport",
-    "CrtDecomposition", "Div",
-    "ExponentPair", "Exhaustive", "GaloisMeadow", "InfiniteCarrierError",
-    "InfiniteExhaustiveError", "Inv", "MeadowError", "MeadowModel",
-    "MixedSignatureError", "ModularMeadow", "Monomial", "Mul", "MultiPoly",
-    "Neg", "NoWitnessConstructedError", "NonSquareFreeError",
-    "NotPolynomialError", "NotPrimeError", "NotRingTermError", "ONE", "One",
-    "OpenTermError", "ParseError", "PremiseFailedError", "REFUTED",
-    "RationalMeadow", "SAMPLED_OK", "Sampled", "SignatureError",
-    "SignedFraction", "SimpleClosedFraction", "SumOfSimpleFractions", "Term",
-    "UnboundVariableError", "UniPoly", "VALID", "Var", "ZERO", "Zero",
-    "annihilator", "characteristic", "check_eq",
-    "closed_to_simple_fraction_q0", "closed_to_simple_fraction_q0_via_basic",
-    "constant_over", "contains_div", "contains_inv", "cr_normal",
-    "crt_decompose", "degree_over", "derived_division_identities",
-    "division_axioms", "eliminate_division", "eval_term",
-    "falsify_simple_fraction_claim", "find_annihilating_exponents", "gf",
-    "guard", "guard_identities", "inverse_axioms", "is_basic_term",
-    "is_closed", "is_divisive", "is_fraction", "is_inversive",
-    "is_simple_fraction", "iter_subterms", "mk", "mk_numeral",
-    "model_from_spec", "non_trivial_over", "numeral_value", "parse", "power",
-    "print_term", "q0", "render_basic", "ring_axioms", "roots_over",
-    "substitute", "term_from_data", "term_to_data", "tidy", "to_basic",
-    "to_canonical", "to_divisive", "to_inversive", "to_simple_fraction_finite",
-    "to_sum_of_simple_fractions", "variables", "verified_annihilator",
-    "wrap_as_fraction",
-]
+__all__ = (errors.__all__ + models.__all__ + normal_forms.__all__
+           + polynomials.__all__ + syntax.__all__ + terms.__all__
+           + transforms.__all__)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import MeadowError
 from .models import (
@@ -25,7 +24,7 @@ from .syntax import parse as parse_term
 from .syntax import print_term, term_to_data
 from .terms import Var, ZERO, mk_numeral, substitute, variables
 from .transforms import (
-    closed_to_simple_fraction_q0, falsify_simple_fraction_claim,
+    claim_sides, closed_to_simple_fraction_q0, falsify_simple_fraction_claim,
     find_annihilating_exponents, to_simple_fraction_finite,
     to_sum_of_simple_fractions,
 )
@@ -271,10 +270,7 @@ def _cmd_falsify(args) -> int:
     f = to_canonical(parse_term(args.f), "x")
     g = to_canonical(parse_term(args.g), "x")
     witness = falsify_simple_fraction_claim(f, g)
-    lhs_val = Fraction(1) + (Fraction(0) if witness == 0
-                             else Fraction(1) / witness)
-    g_val = g.eval_exact(witness)
-    rhs_val = Fraction(0) if g_val == 0 else f.eval_exact(witness) / g_val
+    lhs_val, rhs_val = claim_sides(f, g, witness)
     lines = [f"witness: {witness}",
              f"1 + 1/x at witness: {lhs_val}",
              f"f/g at witness: {rhs_val}"]
@@ -381,8 +377,7 @@ def _demo_falsify_q0(out):
     f = to_canonical(parse_term("1"), "x")
     g = to_canonical(parse_term("1"), "x")
     witness = falsify_simple_fraction_claim(f, g)
-    lhs_val = Fraction(1) + Fraction(1) / witness
-    rhs_val = f.eval_exact(witness) / g.eval_exact(witness)
+    lhs_val, rhs_val = claim_sides(f, g, witness)
     out.line("claim: 1 + 1/x = 1/1 over the rationals")
     out.line(f"constructed witness: x = {witness}")
     out.line(f"left side: {lhs_val}; right side: {rhs_val}")

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MeadowError", "MixedSignatureError", "SignatureError", "ParseError",
+    "OpenTermError", "NotRingTermError", "NonSquareFreeError",
+    "NotPrimeError", "UnboundVariableError", "InfiniteExhaustiveError",
+    "CarrierTooLargeError", "InfiniteCarrierError", "NotPolynomialError",
+    "PremiseFailedError", "NoWitnessConstructedError",
+]
+
 
 class MeadowError(Exception):
     """Base class for all domain errors raised by this package."""

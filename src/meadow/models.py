@@ -305,8 +305,9 @@ class ModularMeadow(MeadowModel):
     exists for every residue exactly when k is square-free.  Then every b
     satisfies b**(l + 1) = b, where the unit exponent l is lcm(p - 1) over
     the primes p of k (Carmichael's function), so w(b) = b**(2l - 1).
-    Building all k of them costs k modular powers, paid on the first
-    division.  The op tables are index arithmetic mod k.
+    ``div`` computes that one power per division; the k-entry
+    ``weak_inverse`` tuple is built only with the op tables, which are
+    index arithmetic mod k.
     """
 
     def __init__(self, k: int):
@@ -323,9 +324,8 @@ class ModularMeadow(MeadowModel):
 
     @cached_property
     def weak_inverse(self) -> tuple[int, ...]:
-        """w(b) for every residue b, built on first use."""
-        e = 2 * self.unit_exponent - 1
-        return tuple(pow(b, e, self.k) for b in range(self.k))
+        """w(b) = 1/b for every residue b, built on first use."""
+        return tuple(self.div(1, b) for b in range(self.k))
 
     def _build_tables(self):
         import numpy as np
@@ -344,7 +344,7 @@ class ModularMeadow(MeadowModel):
         return (-a) % self.k
 
     def div(self, a, b):
-        return (a * self.weak_inverse[b]) % self.k
+        return a * pow(b, 2 * self.unit_exponent - 1, self.k) % self.k
 
     def of_int(self, n: int):
         return n % self.k

@@ -31,7 +31,7 @@ from .terms import (
 )
 
 __all__ = [
-    "UniPoly", "MultiPoly", "to_canonical",
+    "UniPoly", "Monomial", "MultiPoly", "to_canonical",
     "degree_over", "non_trivial_over", "constant_over", "roots_over",
     "annihilator", "verified_annihilator",
 ]

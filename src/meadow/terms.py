@@ -123,20 +123,11 @@ def mk_numeral(n: int) -> Term:
 def numeral_value(t: Term) -> int | None:
     """The integer n if t is exactly mk_numeral(n), else None.
 
-    Iterative on purpose: numeral chains are the one place terms get deep.
+    That is the one case where ``fold`` plans all of t as a single
+    numeral leaf; 1 is planned as a leaf too, but is no numeral chain.
     """
-    neg = isinstance(t, Neg)
-    if neg:
-        t = t.arg
-    count = 0
-    while isinstance(t, Add) and isinstance(t.right, One):
-        count += 1
-        t = t.left
-    if not isinstance(t, Zero):
-        return None
-    if neg and count == 0:
-        return None
-    return -count if neg else count
+    plan = _plan(t)[0]
+    return plan[0][2] if len(plan) == 1 and t.__class__ is not One else None
 
 
 def power(t: Term, n: int) -> Term:

@@ -18,7 +18,8 @@ Four constructions live here:
   ``normal_forms.split_reciprocal``, shared with ``to_basic``.
 * ``falsify_simple_fraction_claim`` -- for any claimed polynomial
   fraction equal to 1 + 1/x over the rationals, constructs an exact
-  rational point refuting the claim.
+  rational point refuting the claim; ``claim_sides`` evaluates both
+  sides of the claim at a point.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ __all__ = [
     "ExponentPair", "find_annihilating_exponents",
     "eliminate_division", "to_simple_fraction_finite",
     "SumOfSimpleFractions", "to_sum_of_simple_fractions",
-    "falsify_simple_fraction_claim", "guard_identities",
+    "claim_sides", "falsify_simple_fraction_claim", "guard_identities",
 ]
 
 
@@ -244,28 +245,33 @@ def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
     })))
 
 
+def claim_sides(f, g, q) -> tuple[Fraction, Fraction]:
+    """Both sides of the claim 1 + 1/x = f/g at x = q, in q0.
+
+    f and g are one-variable polynomials; the sides are 1 + 1/q and
+    f(q)/g(q), computed with q0's own totalized add and div, so either
+    quotient is 0 where its divisor is.
+    """
+    m = q0()
+    return (m.add(m.one, m.div(m.one, q)),
+            m.div(f.eval_in(m, q), g.eval_in(m, q)))
+
+
 def falsify_simple_fraction_claim(f, g) -> Fraction:
     """An exact rational q where 1 + 1/q differs from f(q)/g(q).
 
-    f and g are canonical one-variable polynomials.  If the sides
-    already differ at 0 under totalized division, 0 is the witness.
-    Otherwise g(0) is nonzero; pick eps small enough that |g| stays
-    above |g(0)|/2 on [0, eps] (a coefficient slope bound), overbound
-    |f| there by a, and take q below both eps/2 and 1/(ceil(2a/|g(0)|)+1)
-    so that 1 + 1/q outgrows the largest value f/g can reach.  The
-    returned witness is re-verified by exact evaluation first.
+    f and g are canonical one-variable polynomials, and both sides come
+    from ``claim_sides``.  If they already differ at 0, 0 is the
+    witness.  Otherwise g(0) is nonzero; pick eps small enough that |g|
+    stays above |g(0)|/2 on [0, eps] (a coefficient slope bound),
+    overbound |f| there by a, and take q below both eps/2 and
+    1/(ceil(2a/|g(0)|)+1) so that 1 + 1/q outgrows the largest value f/g
+    can reach.  The sides are compared at that q once more before it is
+    returned.
     """
-
-    def lhs(q: Fraction) -> Fraction:
-        return Fraction(1) + (Fraction(0) if q == 0 else Fraction(1) / q)
-
-    def rhs(q: Fraction) -> Fraction:
-        gv = g.eval_exact(q)
-        return Fraction(0) if gv == 0 else f.eval_exact(q) / gv
-
-    zero = Fraction(0)
-    if lhs(zero) != rhs(zero):
-        return zero
+    lhs, rhs = claim_sides(f, g, Fraction(0))
+    if lhs != rhs:
+        return Fraction(0)
     g0 = abs(Fraction(g.coefficient(0)))
     slope = sum(i * abs(c) for i, c in enumerate(g.coeffs) if i >= 1)
     eps = Fraction(1) if slope == 0 else min(Fraction(1), g0 / (2 * slope))
@@ -274,7 +280,8 @@ def falsify_simple_fraction_claim(f, g) -> Fraction:
     )
     bound_g = g0 / 2
     q = min(eps / 2, Fraction(1, math.ceil(2 * bound_f / g0) + 1))
-    if not (lhs(q) > bound_f / bound_g and lhs(q) != rhs(q)):
+    lhs, rhs = claim_sides(f, g, q)
+    if not (lhs > bound_f / bound_g and lhs != rhs):
         raise NoWitnessConstructedError(
             f"bound chain failed at q = {q} for f = {f}, g = {g}"
         )

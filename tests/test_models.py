@@ -155,12 +155,18 @@ class TestCrt:
                 assert err.value.k == k
         assert square_free == 60
 
-    def test_weak_inverses_are_built_on_first_division(self):
-        assert "weak_inverse" not in vars(mk(1048573))
+    def test_weak_inverses_are_built_with_the_op_tables(self):
         m30 = mk(30)
-        assert "weak_inverse" not in vars(m30)
         assert m30.div(7, 11) == 7 * 11 % 30  # 11 is its own inverse mod 30
+        assert "weak_inverse" not in vars(m30)
+        assert check_eq(m30, parse("x*(1/x)*x"), x).verdict == VALID
         assert len(vars(m30)["weak_inverse"]) == 30
+
+    def test_division_builds_no_weak_inverse_table(self):
+        m = mk(1048573)
+        w = m.div(1, 3)
+        assert "weak_inverse" not in vars(m)
+        assert 3 * w % m.k == 1
 
 
 def _brute_force_tables(model):

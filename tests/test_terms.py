@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meadow import (
-    Add, Div, Inv, Mul, Neg, ONE, Var, ZERO,
+    Add, Div, Inv, Mul, Neg, ONE, One, Var, ZERO, Zero,
     MixedSignatureError,
     contains_div, contains_inv, is_closed, is_divisive, is_fraction,
     is_inversive, is_simple_fraction, iter_subterms, mk_numeral,
@@ -67,6 +67,35 @@ def test_numeral_value_rejects_non_numerals():
 
 def test_numeral_value_handles_deep_chains():
     assert numeral_value(mk_numeral(50_000)) == 50_000
+
+
+def _numeral_value_by_walking(t):
+    """Oracle: walk down an optional minus and the + 1 chain to 0."""
+    neg = isinstance(t, Neg)
+    if neg:
+        t = t.arg
+    count = 0
+    while isinstance(t, Add) and isinstance(t.right, One):
+        count += 1
+        t = t.left
+    if not isinstance(t, Zero) or (neg and count == 0):
+        return None
+    return -count if neg else count
+
+
+def test_numeral_value_matches_chain_walk(corpus):
+    terms_ = [sub for t in corpus for sub in iter_subterms(t)]
+    terms_ += [ONE, Neg(ZERO), Neg(ONE), Neg(Neg(mk_numeral(2))),
+               Add(Var("x"), ONE), mk_numeral(100_000)]
+    found = [numeral_value(t) for t in terms_]
+    assert found == [_numeral_value_by_walking(t) for t in terms_]
+    assert found[-6:] == [None] * 5 + [100_000]
+    assert any(n is not None and n < 0 for n in found)
+
+
+def test_numeral_value_rejects_non_terms():
+    with pytest.raises(TypeError):
+        numeral_value(3)
 
 
 def test_power_shape():

@@ -10,11 +10,12 @@ from meadow import (
     Add, Div, Mul, Neg, ONE, Var, ZERO,
     ExponentPair, InfiniteCarrierError, MixedSignatureError, OpenTermError,
     REFUTED, SAMPLED_OK, Sampled, SimpleClosedFraction, UniPoly, VALID,
-    check_eq, closed_to_simple_fraction_q0,
+    check_eq, claim_sides, closed_to_simple_fraction_q0,
     closed_to_simple_fraction_q0_via_basic, contains_div, eliminate_division,
     eval_term, falsify_simple_fraction_claim, find_annihilating_exponents,
     gf, guard_identities, is_simple_fraction, mk, mk_numeral, parse,
-    iter_subterms, print_term, q0, term_to_data, to_simple_fraction_finite,
+    iter_subterms, print_term, q0, term_to_data, to_canonical,
+    to_simple_fraction_finite,
     to_sum_of_simple_fractions, variables,
 )
 from meadow.cli import _dumps
@@ -422,6 +423,29 @@ class TestFalsifier:
             g_val = g.eval_exact(q)
             rhs = f.eval_exact(q) / g_val if g_val != 0 else Fraction(0)
             assert lhs != rhs, (f.coeffs, g.coeffs, q)
+
+
+class TestClaimSides:
+    # (f, g, the rational roots of g)
+    CASES = [("1", "1", []), ("x + 1", "x", [0]), ("0", "x*x + 1", []),
+             ("x*x - 4", "2*x - 3", [Fraction(3, 2)]),
+             ("3*x*x + 1", "x*x - x", [0, 1]), ("0", "1 - x", [1])]
+
+    @pytest.mark.parametrize("f_text, g_text, roots", CASES)
+    def test_sides_match_the_evaluator(self, rationals, f_text, g_text, roots):
+        f = to_canonical(parse(f_text), "x")
+        g = to_canonical(parse(g_text), "x")
+        lhs_term = parse("1 + 1/x")
+        rhs_term = Div(f.to_term(), g.to_term())
+        rng = random.Random(2024)
+        points = [Fraction(0), *map(Fraction, roots)] + [
+            Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            for _ in range(20)]
+        assert all(g.eval_exact(r) == 0 for r in roots)
+        for q in points:
+            assert claim_sides(f, g, q) == (
+                eval_term(rationals, lhs_term, {"x": q}),
+                eval_term(rationals, rhs_term, {"x": q})), q
 
 
 class TestGuardIdentities:
