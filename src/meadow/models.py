@@ -1,7 +1,7 @@
 """Concrete models with total division, and equation checking over them.
 
 Three families are provided, all with exact arithmetic and decidable
-equality:
+equality; the two finite ones share the base ``FiniteMeadow``:
 
 * ``q0()``            -- the rational numbers with x/0 = 0.
 * ``mk(k)``           -- Z/kZ for square-free k, division through the unique
@@ -41,11 +41,8 @@ from math import gcd
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
-    CarrierTooLargeError,
-    InfiniteExhaustiveError,
-    NonSquareFreeError,
-    NotPrimeError,
-    UnboundVariableError,
+    CarrierTooLargeError, InfiniteExhaustiveError, NonSquareFreeError,
+    NotPrimeError, ParseError, SignatureError, UnboundVariableError,
 )
 from .terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, fold,
@@ -96,25 +93,16 @@ class MeadowModel:
     """Common interface of the shipped models.
 
     Elements are plain hashable Python values compared with ==; subclasses
-    fix the representation.  ``carrier`` is None exactly when the model is
-    infinite.  Each model states its ``characteristic``; the finite ones
-    also state ``unit_exponent``, the least e >= 1 with u**e = 1 for every
-    unit u, so that x**(e + 1) = x for every element x.
+    fix the representation.  Each states ``is_finite``, ``size``,
+    ``carrier`` and ``characteristic``; an infinite model has carrier
+    None and refuses ``size``.  Finite ones derive from ``FiniteMeadow``.
     """
 
     name: str
+    is_finite: bool
+    size: int
     carrier: list | None
     characteristic: int
-
-    @property
-    def is_finite(self) -> bool:
-        return self.carrier is not None
-
-    @property
-    def size(self) -> int:
-        if self.carrier is None:
-            raise InfiniteExhaustiveError(f"{self.name} has an infinite carrier")
-        return len(self.carrier)
 
     def _program_ops(self) -> "ProgramOps":
         """The ops compiled programs run with: here the model's own, on
@@ -124,6 +112,28 @@ class MeadowModel:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+class FiniteMeadow(MeadowModel):
+    """A model whose ``size`` elements are numbered 0..size-1.
+
+    Subclasses set ``size`` and the ``unit_exponent`` e, the least e >= 1
+    with u**e = 1 for every unit u, so that x**(e + 1) = x for every x and
+    the weak inverse of b is b**(2e - 1).  ``element_at`` and ``index_of``
+    map numbers to elements and back.  The carrier list is built only
+    when something reads it, so a large model costs nothing up front.
+    """
+
+    is_finite = True
+    unit_exponent: int
+
+    @cached_property
+    def carrier(self) -> list:
+        """All elements in index order, built on first use."""
+        return [self.element_at(i) for i in range(self.size)]
+
+    def random_element(self, rng: random.Random):
+        return self.element_at(rng.randrange(self.size))
 
 
 def _not_an_element(model: MeadowModel, text: str) -> ValueError:
@@ -166,12 +176,18 @@ class RationalMeadow(MeadowModel):
     with ``Fraction``.
     """
 
+    is_finite = False
+    carrier = None
+
     def __init__(self):
         self.name = "q0"
-        self.carrier = None
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self.characteristic = 0
+
+    @property
+    def size(self) -> int:
+        raise InfiniteExhaustiveError(f"{self.name} has an infinite carrier")
 
     def add(self, a, b):
         return a + b
@@ -298,7 +314,7 @@ def _square_free_primes(k: int) -> tuple[int, ...]:
     return tuple(primes + [rest] * (rest > 1))
 
 
-class ModularMeadow(MeadowModel):
+class ModularMeadow(FiniteMeadow):
     """Z/kZ with division a/b = a * w(b), where w(b) is the weak inverse.
 
     The weak inverse of b is the unique w with b*w*b = b and w*b*w = w; it
@@ -315,10 +331,9 @@ class ModularMeadow(MeadowModel):
             raise _carrier_too_large(f"mk:{k}", k)
         self.primes = _square_free_primes(k)
         self.name = f"mk:{k}"
-        self.k = k
+        self.k = self.size = k
         self.characteristic = k
         self.unit_exponent = math.lcm(*(p - 1 for p in self.primes))
-        self.carrier = list(range(k))
         self.zero = 0
         self.one = 1 % k
 
@@ -354,9 +369,6 @@ class ModularMeadow(MeadowModel):
 
     def element_at(self, i: int):
         return i
-
-    def random_element(self, rng: random.Random):
-        return rng.randrange(self.k)
 
     def parse_element(self, text: str):
         try:
@@ -479,7 +491,7 @@ def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
-class GaloisMeadow(MeadowModel):
+class GaloisMeadow(FiniteMeadow):
     """The field of order p^n with x/0 = 0.
 
     Elements are length-n coefficient tuples (low-to-high) over F_p,
@@ -507,25 +519,15 @@ class GaloisMeadow(MeadowModel):
         self.name = f"gf:{p}^{n}"
         self.p = p
         self.n = n
+        self.size = p ** n
         self.characteristic = p
-        self.unit_exponent = p ** n - 1
+        self.unit_exponent = self.size - 1
         self.modulus = _first_irreducible(p, n)
         self.zero = (0,) * n
         self.one = self._pad([1 % p])
         self.generator = self._pad([0, 1]) if n >= 2 else self._pad(
             [(-self.modulus[0]) % p]
         )
-
-    is_finite = True
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.n
-
-    @cached_property
-    def carrier(self) -> list:
-        """All p^n elements in index order, built on first use."""
-        return [self.element_at(i) for i in range(self.size)]
 
     def _build_tables(self):
         import numpy as np
@@ -586,16 +588,13 @@ class GaloisMeadow(MeadowModel):
             i //= self.p
         return tuple(digits)
 
-    def random_element(self, rng: random.Random):
-        return self.element_at(rng.randrange(self.size))
-
     def parse_element(self, text: str):
         from .syntax import parse
 
-        term = parse(text, "divisive")
         try:
-            return eval_term(self, term, {"a": self.generator})
-        except UnboundVariableError:
+            return eval_term(self, parse(text, "divisive"),
+                             {"a": self.generator})
+        except (ParseError, SignatureError, UnboundVariableError):
             raise _not_an_element(self, text) from None
 
     def format_element(self, e) -> str:
@@ -729,7 +728,7 @@ def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
         "finite model is built with")
 
 
-def _op_tables(model: MeadowModel):
+def _op_tables(model: FiniteMeadow):
     """Index tables (add, mul, neg, div) of a finite model, built once;
     carriers above MAX_TABLE_CARRIER are refused before any allocation."""
     tables = getattr(model, "_op_tables", None)

@@ -75,9 +75,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], line, col))
             col += j - i

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +48,8 @@ class TestEval:
         assert "NAME=VALUE" in err
 
     @pytest.mark.parametrize("spec, value", [
-        ("gf:2^2", "b"), ("q0", "1/0"), ("mk:6", "z"), ("q0", "z")])
+        ("gf:2^2", "b"), ("q0", "1/0"), ("mk:6", "z"), ("q0", "z"),
+        ("gf:2^2", "a +"), ("gf:2^2", "inv(a)")])
     def test_assigned_value_outside_the_model(self, capsys, spec, value):
         code, out, err = run_cli(capsys, "eval", "--model", spec, "x + 1",
                                  "--assign", f"x={value}")
@@ -292,6 +295,23 @@ class TestJsonStability:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
         json.loads(first)
+
+
+def test_readme_console_session(capsys):
+    """Every `$ meadow ...` line in README.md's console blocks prints the
+    lines under it, and exits 1 exactly when it prints Refuted."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    session = []
+    for block in readme.split("```console\n")[1:]:
+        for command in block.split("```")[0].split("$ ")[1:]:
+            line, _, expected = command.partition("\n")
+            session.append((shlex.split(line), expected))
+    assert len(session) == readme.count("\n$ meadow ")
+    for argv, expected in session:
+        assert argv[0] == "meadow"
+        code, out, _ = run_cli(capsys, *argv[1:])
+        assert out == expected, argv
+        assert code == (1 if "Refuted" in expected.splitlines() else 0), argv
 
 
 def test_console_script_wiring():

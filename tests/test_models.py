@@ -348,6 +348,35 @@ class TestGalois:
         assert g9.format_element((2, 2)) == "2*a + 2"
 
 
+class TestFiniteBase:
+    def test_carrier_is_listed_only_when_read(self):
+        tracemalloc.start()
+        try:
+            m = mk(1048573)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert eval_term(m, ONE / (ONE + ONE)) == 524287
+        assert check_eq(m, x * y, y * x, Sampled(50, 3)).verdict == SAMPLED_OK
+        assert "carrier" not in vars(m)
+        m6 = mk(6)
+        assert "carrier" not in vars(m6)
+        assert m6.carrier == list(range(6)) and "carrier" in vars(m6)
+
+    def test_carrier_lists_the_elements_in_index_order(self, finite_models):
+        for model in finite_models:
+            assert model.carrier == [model.element_at(i)
+                                     for i in range(model.size)]
+
+    def test_sampling_draws_a_uniform_index(self, finite_models):
+        for model in finite_models + [mk(1048573), gf(2, 11)]:
+            for seed in range(10):
+                assert (model.random_element(random.Random(seed))
+                        == model.element_at(
+                            random.Random(seed).randrange(model.size)))
+
+
 class TestEvalTerm:
     def test_numerals(self, m6):
         assert eval_term(m6, mk_numeral(10)) == 4

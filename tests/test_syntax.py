@@ -65,6 +65,16 @@ class TestParse:
             parse("x @ y")
         assert err.value.found == "@"
 
+    def test_non_decimal_digits_are_parse_errors(self):
+        # "²" is a digit to str.isdigit, but int() cannot read it
+        for text, column in (("²", 1), ("x^²", 3)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == (1, column)
+            assert err.value.found == "²"
+        assert parse("٣") == parse("3")
+        assert parse("x²") == Var("x²")
+
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("(x + y")
