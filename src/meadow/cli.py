@@ -15,7 +15,7 @@ import sys
 
 from .errors import MeadowError
 from .models import (
-    Exhaustive, Sampled, REFUTED, VALID,
+    Exhaustive, Sampled, REFUTED, VALID, _sweep_size,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
 )
 from .normal_forms import render_basic, render_quotient, to_basic
@@ -219,8 +219,8 @@ def _cmd_normalize(args) -> int:
 def _cmd_check(args) -> int:
     model = model_from_spec(args.model)
     lhs_text, sep, rhs_text = args.equation.partition("=")
-    if not sep:
-        raise ValueError("equation must contain '='")
+    if not sep or "=" in rhs_text:
+        raise ValueError("equation must contain exactly one '='")
     lhs = parse_term(lhs_text.strip())
     rhs = parse_term(rhs_text.strip())
     report = check_eq(model, lhs, rhs, _strategy_from(args, model))
@@ -245,6 +245,7 @@ def _cmd_simplify(args) -> int:
               [printed, f"summands: {len(s)}"])
         return 0
     if model.is_finite:
+        _sweep_size(model, len(variables(t)))  # refuse before transforming
         out = to_simple_fraction_finite(model, t)
         report = check_eq(model, t, out)
         printed = print_term(out)

@@ -34,6 +34,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -627,14 +628,12 @@ def model_from_spec(spec: str) -> MeadowModel:
     """Model named by a specifier: "q0", "mk:<k>" or "gf:<p>^<n>"."""
     if spec == "q0":
         return q0()
-    if spec.startswith("mk:"):
-        return mk(int(spec[3:]))
-    if spec.startswith("gf:"):
-        base, sep, exp = spec[3:].partition("^")
-        if not sep:
-            raise ValueError(f"bad model specifier {spec!r}: expected gf:<p>^<n>")
-        return gf(int(base), int(exp))
-    raise ValueError(f"bad model specifier {spec!r}")
+    match = re.fullmatch(r"mk:([-+]?\d+)|gf:([-+]?\d+)\^([-+]?\d+)", spec)
+    if not match:
+        raise ValueError(f"bad model specifier {spec!r}: "
+                         "expected q0, mk:<k> or gf:<p>^<n>")
+    k, p, n = match.groups()
+    return mk(int(k)) if k is not None else gf(int(p), int(n))
 
 
 # -- evaluation -------------------------------------------------------------
@@ -728,22 +727,10 @@ def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
         "finite model is built with")
 
 
-def _op_tables(model: FiniteMeadow):
-    """Index tables (add, mul, neg, div) of a finite model, built once;
-    carriers above MAX_TABLE_CARRIER are refused before any allocation."""
-    tables = getattr(model, "_op_tables", None)
-    if tables is None:
-        if model.size > MAX_TABLE_CARRIER:
-            raise CarrierTooLargeError(
-                f"{model.name} has {model.size} elements, more than the "
-                f"{MAX_TABLE_CARRIER} that exhaustive checking tabulates: "
-                "check by sampling instead (--strategy sampled --samples N)")
-        tables = model._op_tables = model._build_tables()
-    return tables
-
-
-def _check_exhaustive(model, steps, left, right, names):
-    q, k = model.size, len(names)
+def _sweep_size(model: FiniteMeadow, k: int) -> int:
+    """Assignments an exhaustive check of k variables sweeps over model;
+    CarrierTooLargeError past MAX_ASSIGNMENTS or MAX_TABLE_CARRIER."""
+    q = model.size
     count = q ** k
     if count > MAX_ASSIGNMENTS:
         raise CarrierTooLargeError(
@@ -751,6 +738,25 @@ def _check_exhaustive(model, steps, left, right, names):
             f"assignments, more than the {MAX_ASSIGNMENTS} that exhaustive "
             "checking sweeps: check by sampling instead "
             "(--strategy sampled --samples N)")
+    if q > MAX_TABLE_CARRIER:
+        raise CarrierTooLargeError(
+            f"{model.name} has {q} elements, more than the "
+            f"{MAX_TABLE_CARRIER} that exhaustive checking tabulates: "
+            "check by sampling instead (--strategy sampled --samples N)")
+    return count
+
+
+def _op_tables(model: FiniteMeadow):
+    """Index tables (add, mul, neg, div) of a finite model, built once."""
+    tables = getattr(model, "_op_tables", None)
+    if tables is None:
+        tables = model._op_tables = model._build_tables()
+    return tables
+
+
+def _check_exhaustive(model, steps, left, right, names):
+    q, k = model.size, len(names)
+    count = _sweep_size(model, k)
     add, mul, neg, div = _op_tables(model)
     import numpy as np
 

@@ -22,11 +22,13 @@ pairs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MixedSignatureError, NotRingTermError, OpenTermError
+from .syntax import _RENDER, _join, _render_leaf
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, ZERO,
     contains_div, contains_inv, fold, is_closed, mk_numeral,
@@ -274,29 +276,24 @@ def is_basic_term(t: Term) -> bool:
     return shape in _BASIC_SHAPES
 
 
+def _quotient(num: int, den: int, sign: int = 1):
+    q = _RENDER[Div](_render_leaf(None, num), _render_leaf(None, den))
+    return _RENDER[Neg](q) if sign < 0 else q
+
+
 def render_quotient(num: int, den: int) -> str:
     """The text print_term(Div(mk_numeral(num), mk_numeral(den))), den >= 1.
 
     Numerator and denominator cost their digits here, where the term
     would spell each as a numeral chain with one node per unit.
     """
-    def operand(n: int) -> str:
-        # the numeral 1 is the chain 0 + 1, so a quotient parenthesizes it
-        return "(0 + 1)" if n == 1 else str(n)
-
-    return f"{'-' * (num < 0)}{operand(abs(num))}/{operand(den)}"
+    return _join(_quotient(num, den))
 
 
 def render_basic(b: BasicTerm) -> str:
     """The text print_term(b.to_term()), spelled from the summands."""
-    parts = []
-    for s in b.summands:
-        body = render_quotient(s.num, s.den)
-        if parts:
-            parts.append((" + " if s.sign > 0 else " - ") + body)
-        else:
-            parts.append(body if s.sign > 0 else f"-({body})")
-    return "".join(parts) or "0"
+    parts = [_quotient(s.num, s.den, s.sign) for s in b.summands]
+    return _join(functools.reduce(_RENDER[Add], parts)) if parts else "0"
 
 
 def cr_normal(p: Term) -> int:

@@ -272,14 +272,9 @@ _RENDER = {
 }
 
 
-def print_term(t: Term) -> str:
-    """Render t with minimal parentheses.
-
-    Round-trips: parse(print_term(t)) is structurally equal to t, with
-    numeral subtrees re-sugared to integer literals.  No parenthesis pair
-    in the output can be dropped without changing the parse.
-    """
-    out, stack = [], [fold(t, _render_leaf, _RENDER)[1]]
+def _join(r) -> str:
+    """The text of a rendered subterm."""
+    out, stack = [], [r[1]]
     while stack:
         text = stack.pop()
         if isinstance(text, str):
@@ -287,6 +282,16 @@ def print_term(t: Term) -> str:
         else:
             stack.extend(reversed(text))
     return "".join(out)
+
+
+def print_term(t: Term) -> str:
+    """Render t with minimal parentheses.
+
+    Round-trips: parse(print_term(t)) is structurally equal to t, with
+    numeral subtrees re-sugared to integer literals.  No parenthesis pair
+    in the output can be dropped without changing the parse.
+    """
+    return _join(fold(t, _render_leaf, _RENDER))
 
 
 def _data_leaf(node, n):

@@ -129,6 +129,12 @@ class TestCheck:
         assert code == 2
         assert "'='" in err
 
+    @pytest.mark.parametrize("equation", ["x = y = z", "x == y", "x = ="])
+    def test_second_equals_sign_is_usage_error(self, capsys, equation):
+        code, out, err = run_cli(capsys, "check", equation)
+        assert (code, out) == (2, "")
+        assert err == "error: equation must contain exactly one '='\n"
+
     def test_exhaustive_on_rationals_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--model", "q0", "x = x",
                                "--strategy", "exhaustive")
@@ -364,6 +370,21 @@ def test_huge_finite_model_is_domain_error(spec):
     assert proc.stderr.startswith(f"error: {spec} has ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec, size", [("mk:1048573", 1048573),
+                                        ("gf:2^20", 1048576)])
+def test_simplify_refuses_before_transforming(spec, size):
+    # the transform would build a power of about 2 * size factors
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadow", "simplify", "1/x", "--model", spec],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {spec} has {size} elements, more than the 2048 that "
+        "exhaustive checking tabulates: check by sampling instead "
+        "(--strategy sampled --samples N)\n")
 
 
 def test_oversized_sweep_is_domain_error(capsys, monkeypatch):

@@ -433,6 +433,10 @@ class TestCheckEq:
         report = check_eq(m6, Inv(Inv(x)), x)
         assert report.verdict == VALID
 
+    def test_unknown_strategy_is_type_error(self, m6):
+        with pytest.raises(TypeError, match="unknown strategy 'exhaustive'"):
+            check_eq(m6, x, x, "exhaustive")
+
     @pytest.mark.parametrize("count", [0, -5])
     def test_sampled_rejects_counts_below_one(self, count):
         with pytest.raises(ValueError):
@@ -572,6 +576,15 @@ class TestModelFromSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             model_from_spec(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "mk:", "mk:x", "mk:6^2", "gf:2^x", "gf:2^", "gf:2^3^4", "gf:4", "zk:3",
+    ])
+    def test_malformed_specifier_is_named(self, bad):
+        with pytest.raises(ValueError) as err:
+            model_from_spec(bad)
+        assert str(err.value) == (f"bad model specifier {bad!r}: "
+                                  "expected q0, mk:<k> or gf:<p>^<n>")
 
     def test_propagates_domain_errors(self):
         with pytest.raises(NonSquareFreeError):

@@ -51,6 +51,8 @@ class TestUniPoly:
         f = upoly(0, 1)
         assert (f + c).variable == "x"
         assert (f + c).coeffs == (3, 1)
+        assert (c + f).variable == "x"
+        assert (c + f).coeffs == (3, 1)
         with pytest.raises(ValueError):
             upoly(0, 1) * UniPoly.identity("y")
 

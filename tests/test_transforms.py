@@ -30,6 +30,14 @@ class TestSimpleClosedFraction:
         with pytest.raises(ValueError):
             SimpleClosedFraction(-1, 0, 1)
 
+    @pytest.mark.parametrize("sign, num, den, message", [
+        (0, 1, 2, "sign must be"), (2, 1, 2, "sign must be"),
+        (1, -1, 2, "num must be >= 0"), (1, 1, 0, "den >= 1"),
+    ])
+    def test_sign_and_range_enforced(self, sign, num, den, message):
+        with pytest.raises(ValueError, match=message):
+            SimpleClosedFraction(sign, num, den)
+
     def test_from_fraction(self):
         assert SimpleClosedFraction.from_fraction(Fraction(-4, 6)) == \
             SimpleClosedFraction(-1, 2, 3)
