@@ -9,11 +9,13 @@ equality; the two finite ones share the base ``FiniteMeadow``:
 * ``gf(p, n)``        -- the order-p^n Galois field as residues modulo a
                          fixed irreducible polynomial, with x/0 = 0.
 
-``eval_term`` and ``check_eq`` compile the terms into one straight-line
-program and run it with the model's program ops (``_program_ops``).  The
-finite models run it on their own elements; ``q0`` runs it on integer
-pairs (n, d) with d > 0, see ``RationalMeadow``, and hands back
-``Fraction`` values, so results and reports are the same either way.
+``eval_term`` and ``check_eq`` evaluate terms with ``terms.fold`` and the
+model's program ops (``_program_ops``); a check folds both sides as one
+plan, so structurally equal subterms of either side are computed once
+per assignment.  The finite models compute on their own elements; ``q0``
+computes on integer pairs (n, d) with d > 0, see ``RationalMeadow``, and
+hands back ``Fraction`` values, so results and reports are the same
+either way.
 
 ``check_eq`` decides equations over a finite model by exhausting all
 assignments (vectorized over numpy lookup tables; numpy is imported by
@@ -46,7 +48,8 @@ from .errors import (
     NotPrimeError, ParseError, SignatureError, UnboundVariableError,
 )
 from .terms import (
-    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, fold,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Pair, _plan, fold,
+    variables,
 )
 
 __all__ = [
@@ -106,8 +109,8 @@ class MeadowModel:
     characteristic: int
 
     def _program_ops(self) -> "ProgramOps":
-        """The ops compiled programs run with: here the model's own, on
-        its elements."""
+        """The ops terms are evaluated with: here the model's own, on its
+        elements."""
         return ProgramOps(_itself, _itself, operator.eq,
                           self.add, self.mul, self.neg, self.div)
 
@@ -142,9 +145,9 @@ def _not_an_element(model: MeadowModel, text: str) -> ValueError:
 
 
 class ProgramOps(NamedTuple):
-    """How a compiled program computes in a model.
+    """How terms are evaluated in a model.
 
-    Steps run on working values: ``lift`` makes one from an element,
+    Ops compute on working values: ``lift`` makes one from an element,
     ``lower`` turns one back into the element it stands for, and
     ``same`` tells whether two stand for the same element.
     """
@@ -165,8 +168,8 @@ def _itself(e):
 class RationalMeadow(MeadowModel):
     """Exact rationals with division totalized by x/0 = 0.
 
-    Elements are ``Fraction`` values.  Compiled programs (``eval_term``,
-    sampled ``check_eq``) run on integer pairs (n, d) with d > 0 instead:
+    Elements are ``Fraction`` values.  Evaluation (``eval_term``, sampled
+    ``check_eq``) computes on integer pairs (n, d) with d > 0 instead:
     n/d is 0 exactly when n is, so x/0 = 0 needs no reduced form, and two
     pairs are compared by cross-multiplying.  A pair whose denominator is
     below 2**64 may be unreduced; ops on two such pairs skip the gcd that
@@ -638,81 +641,33 @@ def model_from_spec(spec: str) -> MeadowModel:
 
 # -- evaluation -------------------------------------------------------------
 
-_CONST, _VAR, _ADD, _MUL, _NEG, _DIV = range(6)
-
-
-def _compile(*terms: Term) -> tuple[list[list], list[int]]:
-    """One program for all the terms: its steps and each term's step.
-
-    Step i is [kind, a, b, dead]: a leaf (_CONST n or _VAR name) or an
-    operation on the values of steps a and b, after which the steps in
-    dead are dropped.  Equal subterms share a step; inv(p) is 1/p.
-    """
-    steps: list[list] = []
-    index: dict[tuple, int] = {}
-    last: dict[int | None, int] = {}    # step -> last step reading it
-
-    def emit(*step) -> int:
-        i = index.setdefault(step, len(steps))
-        if i == len(steps):
-            steps.append([*step, []])
-            if step[0] >= _ADD:
-                last[step[1]] = last[step[2]] = i
-        return i
-
-    ops = {
-        Add: lambda a, b: emit(_ADD, a, b),
-        Mul: lambda a, b: emit(_MUL, a, b),
-        Neg: lambda a: emit(_NEG, a, None),
-        Div: lambda a, b: emit(_DIV, a, b),
-        Inv: lambda a: emit(_DIV, emit(_CONST, 1, None), a),
-    }
-    outputs = [fold(t, lambda node, n: emit(_VAR, node.name, None) if n is None
-                    else emit(_CONST, n, None), ops) for t in terms]
-    for j, i in last.items():
-        if j is not None and j not in outputs:
-            steps[i][3].append(j)
-    return steps, outputs
-
-
-def _run(steps, const, var, add, mul, neg, div) -> list:
-    """Values of all steps, each evaluated once; dropped ones are None."""
-    regs: list = []
-    put = regs.append
-    for kind, a, b, dead in steps:
-        if kind == _MUL:
-            put(mul(regs[a], regs[b]))
-        elif kind == _ADD:
-            put(add(regs[a], regs[b]))
-        elif kind == _DIV:
-            put(div(regs[a], regs[b]))
-        elif kind == _NEG:
-            put(neg(regs[a]))
-        elif kind == _VAR:
-            put(var(a))
-        else:
-            put(const(a))
-        for j in dead:
-            regs[j] = None
-    return regs
+def _evaluator(t: Term, lift, var, add, mul, neg, div, same=None):
+    """``fold``'s leaf and ops computing t: numeral n is lift(n), lifted
+    once per call, a variable v is var(v), inv(p) is 1/p, and a pair of
+    sides is same(lhs, rhs)."""
+    consts = {n: lift(n) for cls, _, n in _plan(t)[0]
+              if cls is None and n is not None}
+    one = consts[1] if 1 in consts else lift(1)
+    return (lambda node, n: var(node.name) if n is None else consts[n],
+            {Add: add, Mul: mul, Neg: neg, Div: div,
+             Inv: lambda a: div(one, a), _Pair: same})
 
 
 def eval_term(model: MeadowModel, t: Term,
               assignment: Mapping[str, Any] | None = None):
     """Value of t in the model under the assignment.
 
-    inv(p) means 1/p.  Unassigned variables raise UnboundVariableError.
+    inv(p) means 1/p.  Unassigned variables raise UnboundVariableError,
+    the first one a fold reaches, before anything is computed.
     """
     env = assignment or {}
-    steps, (out,) = _compile(t)
-    for kind, a, _, _ in steps:
-        if kind == _VAR and a not in env:
-            raise UnboundVariableError(a)
+    for cls, node, n in _plan(t)[0]:
+        if cls is None and n is None and node.name not in env:
+            raise UnboundVariableError(node.name)
     ops = model._program_ops()
-    regs = _run(steps, lambda n: ops.lift(model.of_int(n)),
-                lambda name: ops.lift(env[name]),
-                ops.add, ops.mul, ops.neg, ops.div)
-    return ops.lower(regs[out])
+    return ops.lower(fold(t, *_evaluator(
+        t, lambda n: ops.lift(model.of_int(n)),
+        lambda name: ops.lift(env[name]), ops.add, ops.mul, ops.neg, ops.div)))
 
 
 MAX_CARRIER = 1 << 20        # a finite model takes O(q) time and memory
@@ -754,7 +709,7 @@ def _op_tables(model: FiniteMeadow):
     return tables
 
 
-def _check_exhaustive(model, steps, left, right, names):
+def _check_exhaustive(model, sides, names):
     q, k = model.size, len(names)
     count = _sweep_size(model, k)
     add, mul, neg, div = _op_tables(model)
@@ -770,19 +725,16 @@ def _check_exhaustive(model, steps, left, right, names):
     lead, shape = k - width, (q,) * width
     env = {name: np.arange(q).reshape((1,) * j + (q,) + (1,) * (width - j - 1))
            for j, name in enumerate(names[lead:])}
-    consts = {a: model.index_of(model.of_int(a))
-              for kind, a, _, _ in steps if kind == _CONST}
+    evaluator = _evaluator(
+        sides, lambda n: model.index_of(model.of_int(n)), env.__getitem__,
+        lambda a, b: add[a, b], lambda a, b: mul[a, b], neg.__getitem__,
+        lambda a, b: div[a, b], operator.ne)
     # Chunks, and the assignments within a chunk, come in lexicographic
     # order over the carrier with the first variable most significant, so
     # the first mismatch is the lexicographically least counterexample.
     for fixed in itertools.product(range(q), repeat=lead):
         env.update(zip(names, fixed))
-        regs = _run(
-            steps, consts.__getitem__, env.__getitem__,
-            lambda a, b: add[a, b], lambda a, b: mul[a, b],
-            neg.__getitem__, lambda a, b: div[a, b],
-        )
-        mismatch = np.broadcast_to(regs[left] != regs[right], shape)
+        mismatch = np.broadcast_to(fold(sides, *evaluator), shape)
         if mismatch.any():
             rest = np.unravel_index(int(np.argmax(mismatch)), shape)
             witness = {name: model.element_at(int(i))
@@ -791,17 +743,17 @@ def _check_exhaustive(model, steps, left, right, names):
     return CheckReport(VALID, None, count)
 
 
-def _check_sampled(model, steps, left, right, names, strategy: Sampled):
+def _check_sampled(model, sides, names, strategy: Sampled):
     rng = random.Random(strategy.seed)
     ops = model._program_ops()
-    consts = {a: ops.lift(model.of_int(a))
-              for kind, a, _, _ in steps if kind == _CONST}
+    values: dict[str, Any] = {}
+    evaluator = _evaluator(
+        sides, lambda n: ops.lift(model.of_int(n)), values.__getitem__,
+        ops.add, ops.mul, ops.neg, ops.div, ops.same)
     for i in range(strategy.count):
         env = {name: model.random_element(rng) for name in names}
-        values = {name: ops.lift(e) for name, e in env.items()}
-        regs = _run(steps, consts.__getitem__, values.__getitem__,
-                    ops.add, ops.mul, ops.neg, ops.div)
-        if not ops.same(regs[left], regs[right]):
+        values.update((name, ops.lift(e)) for name, e in env.items())
+        if not fold(sides, *evaluator):
             return CheckReport(REFUTED, env, i + 1, strategy.seed)
     return CheckReport(SAMPLED_OK, None, strategy.count, strategy.seed)
 
@@ -816,8 +768,8 @@ def check_eq(model: MeadowModel, lhs: Term, rhs: Term,
     order); sampling yields "sampled_ok" or "refuted" with the first
     failing draw.  Reports are deterministic for fixed inputs.
     """
-    steps, (left, right) = _compile(lhs, rhs)
-    names = sorted(a for kind, a, _, _ in steps if kind == _VAR)
+    sides = _Pair(lhs, rhs)
+    names = variables(sides)
     if strategy is None:
         strategy = Exhaustive() if model.is_finite else Sampled()
     if isinstance(strategy, Exhaustive):
@@ -825,9 +777,9 @@ def check_eq(model: MeadowModel, lhs: Term, rhs: Term,
             raise InfiniteExhaustiveError(
                 f"cannot exhaust the carrier of {model.name}"
             )
-        return _check_exhaustive(model, steps, left, right, names)
+        return _check_exhaustive(model, sides, names)
     if isinstance(strategy, Sampled):
-        return _check_sampled(model, steps, left, right, names, strategy)
+        return _check_sampled(model, sides, names, strategy)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 

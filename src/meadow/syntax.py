@@ -159,8 +159,9 @@ class _Parser:
         t = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            tok = self.expect("int")
-            t = power(t, self._literal_value(tok))
+            if self.peek()[0] != "int":
+                self.fail("an integer exponent")
+            t = power(t, self._literal_value(self.advance()))
         for _ in range(negations):
             t = Neg(t)
         return t
@@ -317,8 +318,7 @@ _DATA = {
 def term_to_data(t: Term):
     """Plain-data (JSON-ready) encoding of a term tree.
 
-    A subterm occurring several times as the same object is encoded as
-    one shared dict.
+    Structurally equal subterms are encoded as one shared dict.
     """
     return fold(t, _data_leaf, _DATA)
 

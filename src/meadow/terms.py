@@ -8,9 +8,10 @@ operations that care.
 
 Every structural induction over a term goes through ``fold``, one
 iterative post-order walk, so terms nested 10^5 deep are safe there.
-Its plan of a term's distinct nodes is kept for the term planned last,
-so folds and subterm predicates on one term back to back walk it once;
-that term and its plan stay alive until another term is planned.
+It folds structurally equal subterms once.  Its plan of a term's
+structurally distinct nodes is kept for the term planned last, so folds
+and subterm predicates on one term back to back walk it once; that term
+and its plan stay alive until another term is planned.
 Structural equality and hashing are derived by the dataclasses, and
 recursive: terms compare and serve as dictionary keys directly, below
 the recursion limit.  Operators +, -, * and / are overloaded for
@@ -103,6 +104,15 @@ class Inv(Term):
     arg: Term
 
 
+class _Pair:
+    """Two terms planned as one, so their equal subterms fold once."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        self.left, self.right = left, right
+
+
 ZERO = Zero()
 ONE = One()
 
@@ -175,9 +185,9 @@ def is_closed(t: Term) -> bool:
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names occurring in t, sorted lexicographically."""
-    # only a variable is planned as a leaf with no integer
-    return tuple(sorted({node.name for cls, node, n in _plan(t)[0]
-                         if cls is None and n is None}))
+    # only a variable is planned as a leaf with no integer, once per name
+    return tuple(sorted(node.name for cls, node, n in _plan(t)[0]
+                        if cls is None and n is None))
 
 
 def _require_divisive(t: Term) -> None:
@@ -213,11 +223,11 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     ``leaf(node, n)`` folds a leaf: a numeral chain, handed over whole,
     or the constant 1, with n the integer it denotes, or a variable, with
     n None.  ``ops[type(node)]`` folds any other node from its children's
-    folds, in field order.  Numerals are found in linear time.  A subterm
-    occurring several times as the same object is folded once, and each
-    folded value is dropped after its last use.  Folds of the same object
-    back to back walk it once: the last term planned and its plan stay
-    alive until another term is planned.
+    folds, in field order.  Numerals are found in linear time.
+    Structurally equal subterms are folded once, equal leaves as the
+    first of them, and each folded value is dropped after its last use.
+    Folds of the same object back to back walk it once: the last term
+    planned and its plan stay alive until another term is planned.
     """
     plan, last = _plan(t)
     values: list[Any] = [None] * len(plan)
@@ -239,9 +249,14 @@ _slot: tuple[Any, list, dict] = (object(), [], {})
 
 
 def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
-    """Each distinct node of t once, children first, as (None, node, n) or
-    (class, a, b), a and b being the children's positions, and each
-    position's last parent; the plan of the term planned last is reused.
+    """Each structurally distinct node of t once, children first, as
+    (None, node, n) or (class, a, b), a and b being the children's
+    positions, and each position's last parent; the plan of the term
+    planned last is reused.
+
+    Equal leaves are one variable name or one integer, the constant 1
+    apart from the numeral 0 + 1; equal operations have equal classes
+    and equal children's positions.
     """
     global _slot
     slot = _slot
@@ -250,7 +265,8 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
     # A stack entry's flag is the node's children once they are planned;
     # before, True marks a p + 1 step whose + 1 chain does not start at 0.
     plan: list[tuple[Any, Any, Any]] = []
-    where: dict[int, int] = {}
+    where: dict[int, int] = {}          # id(node) -> position
+    index: dict[Any, int] = {}          # leaf or operation -> position
     last: dict[int | None, int] = {}    # position -> its last parent's
     stack: list[tuple[Term, Any]] = [(t, False)]
     while stack:
@@ -259,8 +275,7 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
         if flag.__class__ is tuple:
             a = where[id(flag[0])]
             b = where[id(flag[1])] if len(flag) == 2 else None
-            last[a] = last[b] = len(plan)
-            entry = cls, a, b
+            key = entry = cls, a, b
         elif id(node) in where:
             continue
         else:
@@ -285,14 +300,19 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
                               and first.right.__class__ is One))
                 continue
             entry = None, node, n
-        where[id(node)] = len(plan)
-        plan.append(entry)
+            key = node.name if n is None else ONE if cls is One else n
+        i = where[id(node)] = index.setdefault(key, len(plan))
+        if i == len(plan):
+            plan.append(entry)
+            if entry[0] is not None:
+                last[a] = last[b] = i
     _slot = t, plan, last
     return plan, last
 
 
 _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
     Add: attrgetter("left", "right"), Mul: attrgetter("left", "right"),
+    _Pair: attrgetter("left", "right"),
     Div: attrgetter("num", "den"),
     Neg: lambda t: (t.arg,), Inv: lambda t: (t.arg,),
 }

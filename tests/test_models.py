@@ -391,6 +391,30 @@ class TestEvalTerm:
             eval_term(m6, x)
         assert err.value.name == "x"
 
+    def test_unbound_variable_is_the_first_reached_and_nothing_runs(self):
+        calls = []
+
+        def counted(name, op):
+            def run(*args):
+                calls.append(name)
+                return op(*args)
+            return run
+
+        class Counting(models.RationalMeadow):
+            def _program_ops(self):
+                return _PAIR_OPS._replace(**{
+                    name: counted(name, op)
+                    for name, op in _PAIR_OPS._asdict().items()})
+
+        t = parse("y + x")
+        for model in (q0(), Counting()):
+            with pytest.raises(UnboundVariableError) as err:
+                eval_term(model, t, {"z": Fraction(1)})
+            assert err.value.name == "y"
+        assert calls == []
+        assert eval_term(Counting(), t, {"x": 1, "y": Fraction(1, 2)}) == 1.5
+        assert "add" in calls and "lower" in calls
+
     def test_inversive_terms_translate(self, rationals):
         assert eval_term(rationals, Inv(mk_numeral(2))) == Fraction(1, 2)
         assert eval_term(rationals, Inv(ZERO)) == 0

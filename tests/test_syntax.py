@@ -75,6 +75,20 @@ class TestParse:
         assert parse("٣") == parse("3")
         assert parse("x²") == Var("x²")
 
+    def test_missing_exponent_is_named(self):
+        for text, found in (("x^-1", "-"), ("2^", "end of input"),
+                            ("x^(2)", "(")):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.expected == "an integer exponent"
+            assert str(err.value) == ("expected an integer exponent, found "
+                                      f"{found!r} at line 1, column 3")
+        # the other expected tokens keep their names
+        with pytest.raises(ParseError, match="expected '\\)', found"):
+            parse("(x")
+        with pytest.raises(ParseError, match="expected '\\(', found"):
+            parse("inv x", "inversive")
+
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("(x + y")

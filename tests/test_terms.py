@@ -17,7 +17,7 @@ from meadow import (
 )
 from meadow import (
     closed_to_simple_fraction_q0, eval_term, gf, mk, parse, print_term, q0,
-    to_basic,
+    term_from_data, term_to_data, to_basic,
 )
 from meadow import terms
 from meadow.terms import fold
@@ -223,6 +223,38 @@ def _count(t):
         Add: lambda a, b: a + b + 1, Mul: lambda a, b: a + b + 1,
         Div: lambda a, b: a + b + 1, Neg: lambda a: a + 1,
         Inv: lambda a: a + 1})
+
+
+class TestStructuralSharing:
+    def test_equal_subterms_fold_once(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a * b
+
+        left, right = parse("x*y"), parse("x*y")
+        assert left is not right
+        t = Add(left, right)
+        assert fold(t, lambda node, n: {"x": 2, "y": 3}[node.name],
+                    {Add: operator.add, Mul: mul}) == 12
+        assert calls == [(2, 3)]
+
+    def test_one_and_the_numeral_0_plus_1_stay_apart(self):
+        t = Add(Add(ONE, Mul(mk_numeral(1), parse("x*y"))),
+                Add(mk_numeral(1), Mul(ONE, parse("x*y"))))
+        assert print_term(t) == "1 + (0 + 1)*(x*y) + (0 + 1 + 1*(x*y))"
+        one, numeral = {"node": "one"}, {
+            "node": "add", "left": {"node": "zero"}, "right": {"node": "one"}}
+        xy = {"node": "mul", "left": {"node": "var", "name": "x"},
+              "right": {"node": "var", "name": "y"}}
+        assert term_to_data(t) == {
+            "node": "add",
+            "left": {"node": "add", "left": one, "right": {
+                "node": "mul", "left": numeral, "right": xy}},
+            "right": {"node": "add", "left": numeral, "right": {
+                "node": "mul", "left": one, "right": xy}}}
+        assert term_from_data(term_to_data(t)) == t
 
 
 class TestPlanReuse:
