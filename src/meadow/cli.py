@@ -10,7 +10,6 @@ JSON (sorted keys, no whitespace) so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import MeadowError
@@ -106,6 +105,7 @@ class _Json(str):
 def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, separators=(",", ":")), with an
     explicit stack so deep term trees encode like shallow ones."""
+    import json  # here, since most commands print text
     out, todo = [], [value]
     while todo:
         v = todo.pop()

@@ -37,7 +37,6 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -48,8 +47,8 @@ from .errors import (
     NotPrimeError, ParseError, SignatureError, UnboundVariableError,
 )
 from .terms import (
-    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Pair, _plan, fold,
-    variables,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Pair, _Record, _plan,
+    _setattr, fold, variables,
 )
 
 __all__ = [
@@ -68,29 +67,33 @@ REFUTED = "refuted"
 SAMPLED_OK = "sampled_ok"
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(_Record):
     """Check every assignment; only meaningful on finite carriers."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Sampled:
+
+class Sampled(_Record):
     """Check ``count`` seeded pseudo-random assignments."""
 
-    count: int = 10_000
-    seed: int = 0
+    __slots__ = ("count", "seed")
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"sample count must be at least 1, got {self.count}")
+    def __init__(self, count: int = 10_000, seed: int = 0):
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
+        _setattr(self, "count", count)
+        _setattr(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    verdict: str
-    counterexample: dict[str, Any] | None
-    evaluations: int
-    seed: int | None = None
+class CheckReport(_Record):
+    __slots__ = ("verdict", "counterexample", "evaluations", "seed")
+
+    def __init__(self, verdict: str, counterexample: dict[str, Any] | None,
+                 evaluations: int, seed: int | None = None):
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "counterexample", counterexample)
+        _setattr(self, "evaluations", evaluations)
+        _setattr(self, "seed", seed)
 
 
 class MeadowModel:
@@ -396,13 +399,16 @@ def _crt_combine(components: Sequence[int], primes: Sequence[int]) -> int:
     return x % k
 
 
-@dataclass(frozen=True)
-class CrtDecomposition:
+class CrtDecomposition(_Record):
     """Explicit bijection Z/kZ <-> product of prime fields, square-free k."""
 
-    modulus: int
-    primes: tuple[int, ...]
-    factors: tuple[ModularMeadow, ...]
+    __slots__ = ("modulus", "primes", "factors")
+
+    def __init__(self, modulus: int, primes: tuple[int, ...],
+                 factors: tuple[ModularMeadow, ...]):
+        _setattr(self, "modulus", modulus)
+        _setattr(self, "primes", primes)
+        _setattr(self, "factors", factors)
 
     def to_components(self, x: int) -> tuple[int, ...]:
         return tuple(x % p for p in self.primes)

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MixedSignatureError, NotRingTermError, OpenTermError
 from .syntax import _RENDER, _join, _render_leaf
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, ZERO,
+    Add, Div, Inv, Mul, Neg, One, Term, ZERO, _Record, _setattr,
     contains_div, contains_inv, fold, is_closed, mk_numeral,
 )
 
@@ -42,19 +41,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignedFraction:
+class SignedFraction(_Record):
     """One summand +-(num/den); num and den stay at least 1."""
 
-    sign: int
-    num: int
-    den: int
+    __slots__ = ("sign", "num", "den")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, num: int, den: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.num < 1 or self.den < 1:
+        if num < 1 or den < 1:
             raise ValueError("numerator and denominator must be positive")
+        _setattr(self, "sign", sign)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
     def negate(self) -> "SignedFraction":
         return SignedFraction(-self.sign, self.num, self.den)
@@ -78,11 +77,13 @@ class SignedFraction:
         return model.neg(body) if self.sign < 0 else body
 
 
-@dataclass(frozen=True)
-class BasicTerm:
+class BasicTerm(_Record):
     """A sum of signed numeral fractions; no summands means 0."""
 
-    summands: tuple[SignedFraction, ...]
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple[SignedFraction, ...]):
+        _setattr(self, "summands", summands)
 
     def __iter__(self):
         return iter(self.summands)

@@ -18,7 +18,6 @@ sustain, which is the lever several demonstrations use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,7 +25,7 @@ from .errors import (
     InfiniteCarrierError, NotPolynomialError, PremiseFailedError,
 )
 from .terms import (
-    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Record, _setattr,
     fold, mk_numeral,
 )
 
@@ -42,8 +41,7 @@ def _const_term(n: int) -> Term:
     return ONE if n == 1 else mk_numeral(n)
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(_Record):
     """Canonical one-variable polynomial over the integers.
 
     coeffs[i] is the coefficient of variable**i; the top entry is
@@ -51,8 +49,11 @@ class UniPoly:
     to normalize raw coefficient lists.
     """
 
-    variable: str
-    coeffs: tuple[int, ...]
+    __slots__ = ("variable", "coeffs")
+
+    def __init__(self, variable: str, coeffs: tuple[int, ...]):
+        _setattr(self, "variable", variable)
+        _setattr(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, variable: str, coeffs: Sequence[int]) -> "UniPoly":
@@ -249,8 +250,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(_Record):
     """Sparse integer polynomial in any number of variables.
 
     terms maps monomials (sorted (variable, exponent) pairs, exponents
@@ -259,7 +259,10 @@ class MultiPoly:
     ``constant``/``variable`` constructors.
     """
 
-    terms: tuple[tuple[Monomial, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Monomial, int], ...]):
+        _setattr(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, int]) -> "MultiPoly":

@@ -12,14 +12,13 @@ It folds structurally equal subterms once.  Its plan of a term's
 structurally distinct nodes is kept for the term planned last, so folds
 and subterm predicates on one term back to back walk it once; that term
 and its plan stay alive until another term is planned.
-Structural equality and hashing are derived by the dataclasses, and
-recursive: terms compare and serve as dictionary keys directly, below
-the recursion limit.  Operators +, -, * and / are overloaded for
-convenience; they build trees, they never compute.
+Structural equality and hashing walk the two terms with an explicit
+stack, so terms compare and serve as dictionary keys at any depth.
+Operators +, -, * and / are overloaded for convenience; they build
+trees, they never compute.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping
 
@@ -36,10 +35,80 @@ __all__ = [
 ]
 
 
-class Term:
+_setattr = object.__setattr__
+
+
+class _Record:
+    """An immutable value whose fields are its ``__slots__``, in order.
+
+    A subclass's ``__init__`` takes the fields in that order and sets
+    each once with ``_setattr``.  The base gives equality within one
+    class, a hash consistent with it, the field-by-field repr, positional
+    class patterns, and pickling and copying through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = cls.__slots__
+        # what == and hash read, in C: the field, the tuple of fields, or
+        # for a class without fields the class itself
+        cls._key = attrgetter(*names or ["__class__"])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, n) for n in self.__slots__])
+
+
+class Term(_Record):
     """Base class of all term nodes."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        lefts, rights = [self], [other]
+        while lefts:
+            a, b = lefts.pop(), rights.pop()
+            cls = a.__class__
+            if a is b:
+                continue
+            if cls is not b.__class__ or cls is Var and a.name != b.name:
+                return False
+            if cls in _CHILDREN:
+                lefts.extend(_CHILDREN[cls](a))
+                rights.extend(_CHILDREN[cls](b))
+        return True
+
+    def __hash__(self):
+        # the node classes in one fixed order, variables by name, fix the term
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            out.append(node.name if cls is Var else cls)
+            if cls in _CHILDREN:
+                stack.extend(_CHILDREN[cls](node))
+        return hash(tuple(out))
 
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)
@@ -57,51 +126,65 @@ class Term:
         return Div(self, other)
 
 
-@dataclass(frozen=True, slots=True)
 class Zero(Term):
     """The additive constant 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class One(Term):
     """The multiplicative constant 1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Term):
-    arg: Term
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _setattr(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
 class Div(Term):
     """Binary division; in every shipped model x/0 evaluates to 0."""
 
-    num: Term
-    den: Term
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Term, den: Term):
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
 
-@dataclass(frozen=True, slots=True)
 class Inv(Term):
     """Unary inverse; the inversive counterpart of Div."""
 
-    arg: Term
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _setattr(self, "arg", arg)
 
 
 class _Pair:

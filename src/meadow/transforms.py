@@ -24,7 +24,6 @@ Four constructions live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -35,7 +34,7 @@ from .models import eval_term, q0
 from .normal_forms import product, split_reciprocal, to_basic
 from .polynomials import MultiPoly, _poly_term
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
+    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record, _setattr,
     contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
 )
 
@@ -49,27 +48,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimpleClosedFraction:
+class SimpleClosedFraction(_Record):
     """A closed fraction n/m in lowest terms, sign carried separately.
 
     num = 0 forces sign + and den = 1, so zero has one spelling.  The
     rendered term keeps division outermost: negatives become (-n)/m.
     """
 
-    sign: int
-    num: int
-    den: int
+    __slots__ = ("sign", "num", "den")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, num: int, den: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.num < 0 or self.den < 1:
+        if num < 0 or den < 1:
             raise ValueError("num must be >= 0 and den >= 1")
-        if math.gcd(self.num, self.den) != 1 and self.num != 0:
+        if math.gcd(num, den) != 1 and num != 0:
             raise ValueError("fraction must be in lowest terms")
-        if self.num == 0 and (self.sign != 1 or self.den != 1):
+        if num == 0 and (sign != 1 or den != 1):
             raise ValueError("zero is spelled +0/1")
+        _setattr(self, "sign", sign)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "SimpleClosedFraction":
@@ -113,16 +112,16 @@ def closed_to_simple_fraction_q0_via_basic(p: Term) -> SimpleClosedFraction:
     return SimpleClosedFraction.from_fraction(Fraction(num, den))
 
 
-@dataclass(frozen=True)
-class ExponentPair:
+class ExponentPair(_Record):
     """Exponents n > m >= 1 with x**n = x**m across a model's carrier."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if not self.n > self.m >= 1:
+    def __init__(self, n: int, m: int):
+        if not n > m >= 1:
             raise ValueError("need n > m >= 1")
+        _setattr(self, "n", n)
+        _setattr(self, "m", m)
 
 
 def find_annihilating_exponents(model) -> ExponentPair:
@@ -168,11 +167,13 @@ def to_simple_fraction_finite(model, t: Term) -> Term:
     return wrap_as_fraction(eliminate_division(model, t))
 
 
-@dataclass(frozen=True)
-class SumOfSimpleFractions:
+class SumOfSimpleFractions(_Record):
     """Sum of polynomial fractions; each summand is (numerator, denominator)."""
 
-    summands: tuple[tuple[MultiPoly, MultiPoly], ...]
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple[tuple[MultiPoly, MultiPoly], ...]):
+        _setattr(self, "summands", summands)
 
     def __iter__(self):
         return iter(self.summands)

@@ -450,6 +450,19 @@ assert "numpy" in sys.modules, "check_eq"
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # a fresh process: this one has imported all three already
+    script = """
+import sys
+import meadow.cli
+print(sorted({"dataclasses", "inspect", "json"} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _decimal(n: int) -> str:
     """str(n), also past CPython's int/str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

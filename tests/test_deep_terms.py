@@ -1,16 +1,15 @@
 """Every term walk on terms nested 10^5 deep: no recursion, linear time.
 
-Results are compared by printed text, model values and summand tuples.
-Structural == and hash are still recursive on deep terms, so they are
-never applied to these inputs.  A quadratic numeral check would make the
-long sum alone take minutes.
+Results are compared by printed text, model values and summand tuples,
+and by structural == and hash, which walk with an explicit stack too.
+A quadratic numeral check would make the long sum alone take minutes.
 """
 from collections import Counter
 
 import pytest
 
 from meadow import (
-    Div, Mul, Neg, ONE, Sampled, VALID, SAMPLED_OK, Var,
+    Div, Mul, Neg, ONE, One, Sampled, VALID, SAMPLED_OK, Var, Zero,
     check_eq, cr_normal, eliminate_division, eval_term, is_basic_term,
     iter_subterms, mk, mk_numeral, parse, print_term, substitute,
     term_from_data, term_to_data, to_basic, to_canonical, to_divisive,
@@ -36,10 +35,22 @@ CASES = {
     "numeral": (lambda: mk_numeral(N), str(N), lambda v: N, "5",
                 [(str(N), "1")], (N,)),
     "sum": (lambda: parse("x" + "+1" * N), "x" + " + 1" * N,
-            lambda v: v + N, "x + 5", None, (N, 1)),
+            lambda v: v + N, "x + 5", [(f"x + {N}", "1")], (N, 1)),
     "negations": (negations, "-" * N + "x", lambda v: v, "x",
                   [("x", "1")], (0, 1)),
 }
+
+
+def first_leaf_replaced(t, leaf):
+    """t with its leftmost leaf replaced, rebuilt without recursion."""
+    spine = []
+    while not isinstance(t, (Zero, One, Var)):
+        spine.append(t)
+        t = t.arg if isinstance(t, Neg) else t.left
+    for node in reversed(spine):
+        leaf = Neg(leaf) if isinstance(node, Neg) \
+            else type(node)(leaf, node.right)
+    return leaf
 
 
 def data_kinds(data) -> Counter:
@@ -66,6 +77,9 @@ def test_walkers_at_depth_1e5(case):
     assert print_term(term_from_data(data)) == text
 
     # terms
+    twin = build()
+    assert twin is not t and twin == t and hash(twin) == hash(t)
+    assert first_leaf_replaced(t, Var("y")) != t
     assert print_term(to_divisive(to_inversive(Div(t, x)))) \
         == print_term(Mul(t, Div(ONE, x)))
     closed = substitute(t, {"x": mk_numeral(-1)})
@@ -82,15 +96,16 @@ def test_walkers_at_depth_1e5(case):
     assert eval_term(m7, eliminated, {"x": 2}) == pow(value(2), 11, 7)
     assert check_eq(m7, reciprocal, eliminated).verdict == VALID
 
-    # normal forms and polynomials; a sum of 10^5 + 1 summands is built by
-    # repeated list concatenation and a polynomial of degree 10^5 by
-    # repeated multiplication, both quadratic in the size of the result
+    # normal forms and polynomials; to_basic of the long sum builds its
+    # 10^5 + 1 summands by repeated list concatenation and a polynomial of
+    # degree 10^5 is built by repeated multiplication, both quadratic in
+    # the size of the result
     assert not is_basic_term(t)
-    if summands is not None:
+    if case != "sum":
         v = value(-1)
         assert [(s.sign, s.num, s.den) for s in to_basic(closed)] \
             == [(1 if v > 0 else -1, abs(v), 1)]
-        assert [(print_term(n.to_term()), print_term(d.to_term()))
-                for n, d in to_sum_of_simple_fractions(t)] == summands
+    assert [(print_term(n.to_term()), print_term(d.to_term()))
+            for n, d in to_sum_of_simple_fractions(t)] == summands
     if coeffs is not None:
         assert to_canonical(t, "x").coeffs == coeffs
