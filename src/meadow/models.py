@@ -37,6 +37,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -50,6 +51,7 @@ from .terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Pair, _Record, _plan,
     _setattr, fold, variables,
 )
+from .syntax import _MAX_LITERAL
 
 __all__ = [
     "MeadowModel", "RationalMeadow", "ModularMeadow", "GaloisMeadow",
@@ -168,6 +170,13 @@ def _itself(e):
     return e
 
 
+# The decimal form of Fraction's text, with the exponent's digits as the
+# group; Fraction reads underscores between digits from Python 3.11 on.
+_DIGITS = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
+_DECIMAL = (rf"\s*[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?"
+            rf"e[-+]?({_DIGITS})\s*")
+
+
 class RationalMeadow(MeadowModel):
     """Exact rationals with division totalized by x/0 = 0.
 
@@ -219,6 +228,13 @@ class RationalMeadow(MeadowModel):
         return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
 
     def parse_element(self, text: str):
+        # Fraction builds the power of 10 of an exponent, as in 1e-5, whole
+        exponent = re.fullmatch(_DECIMAL, text, re.IGNORECASE)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if (len(digits) > len(str(_MAX_LITERAL))
+                or int(digits or 0) > _MAX_LITERAL):
+            raise ValueError(f"the exponent of {text!r} is too large"
+                             f" (limit {_MAX_LITERAL})")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):

@@ -19,9 +19,8 @@ any larger literal n parses to mk_numeral(n).  The printer re-sugars
 exactly the shapes that parse back to themselves, so round-tripping is
 structural: parse(print_term(t)) == t.
 
-Parentheses, those of inv(...) included, nest at most 150 deep; deeper
-input raises ParseError.  Long sums, products and runs of unary minus
-have no such bound.
+The parser is one loop over the tokens that keeps each open parenthesis
+level on an explicit stack, so nesting depth is bounded by memory only.
 
 The choice of division syntax is a mode: "/" is only legal under the
 "divisive" signature and "inv(...)" only under "inversive"; using the
@@ -43,10 +42,6 @@ __all__ = [
 # eager expansion would dominate memory, so refuse early.
 _MAX_LITERAL = 100_000
 
-# Each open "(" costs the parser four stack frames; the bound leaves room
-# for the caller's frames below the default recursion limit of 1000.
-_MAX_NESTING = 150
-
 _SYMBOLS = "+-*/^()"
 
 
@@ -54,160 +49,53 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     tokens = []
     line, col = 1, 1
     i, n = 0, len(text)
-    depth = 0
     while i < n:
         c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
+        j = i + 1
         if c in _SYMBOLS:
-            depth += (c == "(") - (c == ")")
-            if depth > _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than "
-                                 f"{_MAX_NESTING}", line, col, found=c)
             tokens.append((c, c, line, col))
-            col += 1
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
+        elif c.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col, found=c)
+        elif c == "\n":
+            line += 1
+            col = 0  # the next character is in column 1
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", line, col,
+                             found=c)
+        col += j - i
+        i = j
     tokens.append(("eof", "", line, col))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, signature):
-        self.tokens = tokens
-        self.pos = 0
-        self.signature = signature
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected):
-        kind, text, line, col = self.peek()
-        found = text if text else "end of input"
+def _literal_value(tok) -> int:
+    # digits first: int() of a long literal is slow, and CPython refuses
+    # one past its digit limit
+    digits = tok[1].lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_LITERAL)) or int(digits) > _MAX_LITERAL:
         raise ParseError(
-            f"expected {expected}, found {found!r}",
-            line, col, expected=expected, found=found,
+            f"integer literal of {len(tok[1])} digits is too large"
+            f" to expand (limit {_MAX_LITERAL})",
+            tok[2], tok[3], found=tok[1],
         )
+    return int(digits)
 
-    def expect(self, kind):
-        if self.peek()[0] != kind:
-            self.fail(repr(kind))
-        return self.advance()
 
-    def parse(self) -> Term:
-        t = self.sum()
-        if self.peek()[0] != "eof":
-            self.fail("end of input")
-        return t
+def _expected(expected: str, tok) -> ParseError:
+    found = tok[1] or "end of input"
+    return ParseError(f"expected {expected}, found {found!r}", tok[2],
+                      tok[3], expected=expected, found=found)
 
-    def sum(self) -> Term:
-        t = self.prod()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.prod()
-            t = Add(t, rhs if op == "+" else Neg(rhs))
-        return t
 
-    def prod(self) -> Term:
-        t = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            _, _, line, col = self.peek()
-            op = self.advance()[0]
-            if op == "/" and self.signature != "divisive":
-                raise SignatureError(
-                    f"'/' is not part of the inversive signature"
-                    f" (line {line}, column {col})"
-                )
-            rhs = self.unary()
-            t = Mul(t, rhs) if op == "*" else Div(t, rhs)
-        return t
-
-    def unary(self) -> Term:
-        negations = 0
-        while self.peek()[0] == "-":
-            self.advance()
-            negations += 1
-        t = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            if self.peek()[0] != "int":
-                self.fail("an integer exponent")
-            t = power(t, self._literal_value(self.advance()))
-        for _ in range(negations):
-            t = Neg(t)
-        return t
-
-    def _literal_value(self, tok) -> int:
-        # digits first: int() of a long literal is slow, and CPython
-        # refuses one past its digit limit
-        digits = tok[1].lstrip("0") or "0"
-        if (len(digits) > len(str(_MAX_LITERAL))
-                or int(digits) > _MAX_LITERAL):
-            raise ParseError(
-                f"integer literal of {len(tok[1])} digits is too large"
-                f" to expand (limit {_MAX_LITERAL})",
-                tok[2], tok[3], found=tok[1],
-            )
-        return int(digits)
-
-    def atom(self) -> Term:
-        kind, text, line, col = self.peek()
-        if kind == "int":
-            self.advance()
-            value = self._literal_value((kind, text, line, col))
-            if value == 0:
-                return ZERO
-            if value == 1:
-                return ONE
-            return mk_numeral(value)
-        if kind == "ident":
-            self.advance()
-            if text == "inv":
-                if self.signature != "inversive":
-                    raise SignatureError(
-                        f"'inv' is not part of the divisive signature"
-                        f" (line {line}, column {col})"
-                    )
-                self.expect("(")
-                arg = self.sum()
-                self.expect(")")
-                return Inv(arg)
-            return Var(text)
-        if kind == "(":
-            self.advance()
-            t = self.sum()
-            self.expect(")")
-            return t
-        self.fail("an integer, identifier or '('")
+def _foreign(tok, signature: str) -> SignatureError:
+    return SignatureError(f"{tok[1]!r} is not part of the {signature}"
+                          f" signature (line {tok[2]}, column {tok[3]})")
 
 
 def parse(text: str, signature: str = "divisive") -> Term:
@@ -219,7 +107,78 @@ def parse(text: str, signature: str = "divisive") -> Term:
     """
     if signature not in ("divisive", "inversive"):
         raise ValueError(f"unknown signature {signature!r}")
-    return _Parser(_tokenize(text), signature).parse()
+    divisive = signature == "divisive"
+    tokens = _tokenize(text)
+    pos = 0
+    # The open level's partial sum and product and their pending
+    # operators; each enclosing level's are saved in its frame, with the
+    # minuses written before the group and whether it is inv(...).
+    total = add = product = mul = None
+    frames = []
+    while True:
+        # operand: the unary minuses, then an atom or an opening group
+        negations = 0
+        while tokens[pos][0] == "-":
+            pos += 1
+            negations += 1
+        tok = tokens[pos]
+        kind = tok[0]
+        pos += 1
+        if kind == "int":
+            value = _literal_value(tok)
+            t = ONE if value == 1 else mk_numeral(value)
+        elif kind == "ident" and tok[1] != "inv":
+            t = Var(tok[1])
+        elif kind == "ident" or kind == "(":
+            if kind == "ident":
+                if divisive:
+                    raise _foreign(tok, "divisive")
+                if tokens[pos][0] != "(":
+                    raise _expected("'('", tokens[pos])
+                pos += 1
+            frames.append((total, add, product, mul, negations,
+                           kind == "ident"))
+            total = add = product = mul = None
+            continue
+        else:
+            raise _expected("an integer, identifier or '('", tok)
+        # operators: t's exponent, its minuses, then the pending * or /
+        # and + or -; a closing parenthesis ends a group, which is then
+        # the operand of its enclosing level
+        while True:
+            if tokens[pos][0] == "^":
+                pos += 1
+                if tokens[pos][0] != "int":
+                    raise _expected("an integer exponent", tokens[pos])
+                t = power(t, _literal_value(tokens[pos]))
+                pos += 1
+            for _ in range(negations):
+                t = Neg(t)
+            product = (t if mul is None else Mul(product, t) if mul == "*"
+                       else Div(product, t))
+            tok = tokens[pos]
+            kind = tok[0]
+            if kind == "*" or kind == "/":
+                if not divisive and kind == "/":
+                    raise _foreign(tok, "inversive")
+                mul = kind
+                pos += 1
+                break
+            total = (product if add is None else Add(total, product)
+                     if add == "+" else Add(total, Neg(product)))
+            if kind == "+" or kind == "-":
+                add, mul = kind, None
+                pos += 1
+                break
+            if kind != (")" if frames else "eof"):
+                raise _expected("')'" if frames else "end of input", tok)
+            if not frames:
+                return total
+            pos += 1
+            t = total
+            total, add, product, mul, negations, inv = frames.pop()
+            if inv:
+                t = Inv(t)
 
 
 # Binding strength of each node shape; a child is parenthesized when its
@@ -229,9 +188,8 @@ _LEVEL_MUL = 2
 _LEVEL_NEG = 3
 _LEVEL_ATOM = 4
 
-# A rendered subterm is (level, text, negated): text is a string or a
-# tuple of texts, joined once at the end so that deep terms print in
-# linear time; negated renders the argument of a unary minus.
+# A rendered subterm is (level, text, negated), the text for _join;
+# negated renders the argument of a unary minus.
 
 
 def _fmt(r, min_level: int):
@@ -246,11 +204,11 @@ def _render_leaf(node, n):
     # a literal is spelled when parsing the spelling rebuilds the node
     if n is None:
         return _LEVEL_ATOM, node.name, None
-    if n < 0:
-        return _neg(_render_leaf(None, -n))
-    if n == 1 and not isinstance(node, One):  # the numeral 0 + 1
-        return _LEVEL_ADD, "0 + 1", None
-    return _LEVEL_ATOM, str(n), None
+    if abs(n) == 1 and not isinstance(node, One):  # the numeral 0 + 1
+        r = _LEVEL_ADD, "0 + 1", None
+    else:
+        r = _LEVEL_ATOM, str(abs(n)), None
+    return _neg(r) if n < 0 else r
 
 
 def _add(left, right):

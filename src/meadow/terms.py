@@ -13,7 +13,8 @@ structurally distinct nodes is kept for the term planned last, so folds
 and subterm predicates on one term back to back walk it once; that term
 and its plan stay alive until another term is planned.
 Structural equality and hashing walk the two terms with an explicit
-stack, so terms compare and serve as dictionary keys at any depth.
+stack, and so does repr, so terms compare, serve as dictionary keys and
+have a repr at any depth.
 Operators +, -, * and / are overloaded for convenience; they build
 trees, they never compute.
 """
@@ -109,6 +110,25 @@ class Term(_Record):
             if cls in _CHILDREN:
                 stack.extend(_CHILDREN[cls](node))
         return hash(tuple(out))
+
+    def __repr__(self):
+        # the field-by-field repr of _Record, built with an explicit stack
+        if self.__class__ not in _CHILDREN:
+            return _Record.__repr__(self)
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+                continue
+            parts = []
+            for name in node.__slots__:
+                child = getattr(node, name)
+                parts += [", " if parts else f"{node.__class__.__qualname__}(",
+                          f"{name}=", child if child.__class__ in _CHILDREN
+                          else repr(child)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
 
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)

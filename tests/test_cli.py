@@ -57,6 +57,26 @@ class TestEval:
         assert err == f"error: {value!r} is not an element of {spec}\n"
 
 
+    def test_term_starting_with_minus_follows_double_dash(self, capsys):
+        # without "--", argparse reads "-x/2" as an option
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "-x/2", "--assign", "x=1"])
+        assert exit_.value.code == 2
+        code, out, _ = run_cli(capsys, "eval", "--assign", "x=1", "--",
+                               "-x/2")
+        assert (code, out) == (0, "-1/2\n")
+
+    @pytest.mark.parametrize("value", ["1e999999", "1E-0100001"])
+    def test_huge_exponent_in_a_rational_is_refused(self, value):
+        # Fraction would build 10^999999 and then print it whole
+        proc = subprocess.run([sys.executable, "-m", "meadow", "eval", "x",
+                               "--assign", f"x={value}"],
+                              capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: the exponent of {value!r} is too"
+                               " large (limit 100000)\n")
+
+
 class TestParse:
     def test_round_trip_output(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "(x + y)*x")
@@ -78,10 +98,16 @@ class TestParse:
         assert "too large to expand" in err
         assert err.endswith("at line 1, column 1\n")
 
-    def test_nesting_past_the_bound_is_parse_error(self, capsys):
-        code, out, err = run_cli(capsys, "parse", "(" * 2000 + "x" + ")" * 2000)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: parentheses nested deeper than")
+    @pytest.mark.parametrize("argv, out", [
+        # 100 001 characters, under Linux's 128 KiB limit on one argument
+        (["parse", "(" * 50_000 + "x" + ")" * 50_000], "x\n"),
+        (["eval", "1/(" * 20_000 + "x" + ")" * 20_000, "--assign", "x=3"],
+         "3\n"),
+    ], ids=["parse", "eval"])
+    def test_deep_nesting_in_a_subprocess(self, argv, out):
+        proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_json_of_deep_tree(self, capsys):
         # x^2000 is ((1*x)*x)*...*x; the tree nests 2000 levels deep.

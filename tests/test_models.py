@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -67,6 +68,26 @@ class TestRationals:
     def test_element_io(self, rationals):
         assert rationals.parse_element("-3/4") == Fraction(-3, 4)
         assert rationals.format_element(Fraction(3, 2)) == "3/2"
+        # exponents up to the integer-literal bound are read
+        assert rationals.parse_element("25e-100000") \
+            == Fraction(25, 10 ** 100_000)
+        assert rationals.parse_element("1.5E+0003 ") == 1500
+
+    @pytest.mark.parametrize("text, message", [
+        ("1e100001", "the exponent of '1e100001' is too large (limit 100000)"),
+        ("-.5E-0100001", "the exponent of '-.5E-0100001' is too large"),
+        # text that Fraction does not read keeps its message
+        ("abce9999999", "'abce9999999' is not an element of q0"),
+        ("1/2e9999999", "'1/2e9999999' is not an element of q0"),
+        # Fraction reads underscores between digits from Python 3.11 on
+        ("1e1_000_000", "the exponent of '1e1_000_000' is too large"
+         if sys.version_info >= (3, 11)
+         else "'1e1_000_000' is not an element of q0"),
+    ])
+    def test_huge_exponent_is_refused(self, rationals, text, message):
+        with pytest.raises(ValueError) as err:
+            rationals.parse_element(text)
+        assert str(err.value).startswith(message)
 
     def test_infinite_carrier_guards(self, rationals):
         assert not rationals.is_finite

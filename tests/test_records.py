@@ -16,7 +16,7 @@ from meadow import (
     Add, BasicTerm, CheckReport, CrtDecomposition, Div, Exhaustive,
     ExponentPair, Inv, MultiPoly, Mul, Neg, ONE, One, Sampled,
     SignedFraction, SimpleClosedFraction, SumOfSimpleFractions, UniPoly,
-    Var, ZERO, Zero, crt_decompose,
+    Var, ZERO, Zero, crt_decompose, mk_numeral, power,
 )
 
 x, y = Var("x"), Var("y")
@@ -54,6 +54,21 @@ IDS = [type(value).__name__ for value, _ in RECORDS]
 @pytest.mark.parametrize("value, text", RECORDS, ids=IDS)
 def test_repr_is_exact(value, text):
     assert repr(value) == text
+
+
+def test_repr_of_deep_terms():
+    n = 100_000
+    assert repr(power(x, n)) == ("Mul(left=" * n + "One()"
+                                 + ", right=Var(name='x'))" * n)
+    assert repr(mk_numeral(-n)) == ("Neg(arg=" + "Add(left=" * n + "Zero()"
+                                    + ", right=One())" * n + ")")
+    assert repr(mk_numeral(1)) == "Add(left=Zero(), right=One())"
+
+
+def test_repr_of_a_term_with_a_foreign_child():
+    # the repr shows what was built, so a bad term can still be read
+    assert repr(Neg(Add(x, 1))) == "Neg(arg=Add(left=Var(name='x'), right=1))"
+    assert repr(Div(ONE, "y")) == "Div(num=One(), den='y')"
 
 
 @pytest.mark.parametrize("value, text", RECORDS, ids=IDS)

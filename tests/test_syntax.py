@@ -118,14 +118,11 @@ class TestParse:
             "integer literal of 5000 digits is too large to expand"
             " (limit 100000) at line 1, column 1")
 
-    def test_nesting_bound(self):
-        from meadow.syntax import _MAX_NESTING as n
+    def test_deep_nesting(self):
+        n = 100_000
         assert parse("(" * n + "x" + ")" * n) == x
-        text = "inv(" * n + "x" + ")" * n
+        text = "inv(" * 20_000 + "x" + ")" * 20_000
         assert print_term(parse(text, "inversive")) == text
-        with pytest.raises(ParseError) as err:
-            parse("(" * 2000 + "x" + ")" * 2000)
-        assert (err.value.line, err.value.column) == (1, n + 1)
 
     def test_long_run_of_unary_minus(self):
         t = parse("-" * 100_000 + "x")
@@ -137,6 +134,79 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x +\n@")
         assert err.value.line == 2
+
+
+_ANY = "an integer, identifier or '('"
+_EOF = "end of input"
+
+
+# (text, signature, message, line, column, expected, found): a parse
+# error's whole record, raised at the token it names
+@pytest.mark.parametrize("text, signature, message, line, column, "
+                         "expected, found", [
+    ("x + ", "divisive", f"expected {_ANY}, found {_EOF!r}", 1, 5, _ANY, _EOF),
+    ("", "divisive", f"expected {_ANY}, found {_EOF!r}", 1, 1, _ANY, _EOF),
+    ("()", "divisive", f"expected {_ANY}, found ')'", 1, 2, _ANY, ")"),
+    ("-", "divisive", f"expected {_ANY}, found {_EOF!r}", 1, 2, _ANY, _EOF),
+    ("inv()", "inversive", f"expected {_ANY}, found ')'", 1, 5, _ANY, ")"),
+    ("x y", "divisive", "expected end of input, found 'y'", 1, 3, _EOF, "y"),
+    ("x)", "divisive", "expected end of input, found ')'", 1, 2, _EOF, ")"),
+    ("(x))", "divisive", "expected end of input, found ')'", 1, 4, _EOF, ")"),
+    ("x^2^3", "divisive", "expected end of input, found '^'", 1, 4, _EOF, "^"),
+    ("-(x)^2^2", "divisive", "expected end of input, found '^'", 1, 7,
+     _EOF, "^"),
+    ("(x", "divisive", f"expected ')', found {_EOF!r}", 1, 3, "')'", _EOF),
+    ("(x^2^3)", "divisive", "expected ')', found '^'", 1, 5, "')'", "^"),
+    ("inv(x", "inversive", f"expected ')', found {_EOF!r}", 1, 6, "')'",
+     _EOF),
+    ("x +\n  (y", "divisive", f"expected ')', found {_EOF!r}", 2, 5, "')'",
+     _EOF),
+    ("inv x", "inversive", "expected '(', found 'x'", 1, 5, "'('", "x"),
+    ("2^", "divisive", f"expected an integer exponent, found {_EOF!r}", 1, 3,
+     "an integer exponent", _EOF),
+    ("x^-1", "divisive", "expected an integer exponent, found '-'", 1, 3,
+     "an integer exponent", "-"),
+    ("@", "divisive", "unexpected character '@'", 1, 1, None, "@"),
+    ("²", "divisive", "unexpected character '²'", 1, 1, None, "²"),
+    ("x +\n@", "divisive", "unexpected character '@'", 2, 1, None, "@"),
+    ("1" * 5000, "divisive", "integer literal of 5000 digits is too large to"
+     " expand (limit 100000)", 1, 1, None, "1" * 5000),
+    ("x^100001", "divisive", "integer literal of 6 digits is too large to"
+     " expand (limit 100000)", 1, 3, None, "100001"),
+])
+def test_parse_error_record(text, signature, message, line, column,
+                            expected, found):
+    with pytest.raises(ParseError) as err:
+        parse(text, signature)
+    assert type(err.value) is ParseError
+    assert str(err.value) == f"{message} at line {line}, column {column}"
+    assert (err.value.line, err.value.column) == (line, column)
+    assert (err.value.expected, err.value.found) == (expected, found)
+
+
+# the first error in reading order wins: tokens are all read first,
+# then each check runs at the token it concerns
+@pytest.mark.parametrize("text, signature, cls, message", [
+    ("inv(x)", "divisive", SignatureError,
+     "'inv' is not part of the divisive signature (line 1, column 1)"),
+    ("inv", "divisive", SignatureError,
+     "'inv' is not part of the divisive signature (line 1, column 1)"),
+    ("x /\n  inv(y)", "divisive", SignatureError,
+     "'inv' is not part of the divisive signature (line 2, column 3)"),
+    ("x/y", "inversive", SignatureError,
+     "'/' is not part of the inversive signature (line 1, column 2)"),
+    ("x / 100001", "inversive", SignatureError,
+     "'/' is not part of the inversive signature (line 1, column 3)"),
+    ("100001 / x", "inversive", ParseError, "integer literal of 6 digits is"
+     " too large to expand (limit 100000) at line 1, column 1"),
+    ("y * x / @", "inversive", ParseError,
+     "unexpected character '@' at line 1, column 9"),
+])
+def test_first_error_wins(text, signature, cls, message):
+    with pytest.raises(cls) as err:
+        parse(text, signature)
+    assert type(err.value) is cls
+    assert str(err.value) == message
 
 
 class TestPrint:
