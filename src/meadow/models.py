@@ -18,12 +18,14 @@ hands back ``Fraction`` values, so results and reports are the same
 either way.
 
 ``check_eq`` decides equations over a finite model by exhausting all
-assignments (vectorized over numpy lookup tables; numpy is imported by
-the first table build), and tests them on an infinite model by
-deterministic seeded sampling.  A sweep runs in chunks of at most
-``SWEEP_CHUNK`` assignments in lexicographic order, so its memory does
-not grow with the number of assignments; a sweep of more than
-``MAX_ASSIGNMENTS`` is refused before its tables are built.  Finite
+assignments, and tests them on an infinite model by deterministic
+seeded sampling.  While numpy is not loaded, a sweep of at most
+``SMALL_SWEEP`` assignments folds them one by one, as sampling does,
+since importing numpy costs more.  Any other sweep is vectorized over
+numpy lookup tables (numpy is imported by the first table build), in
+chunks of at most ``SWEEP_CHUNK`` assignments in lexicographic order,
+so its memory does not grow with the number of assignments.  A sweep of
+more than ``MAX_ASSIGNMENTS`` is refused before either path runs.  Finite
 carriers above ``MAX_CARRIER`` are refused before anything is built.
 Reports are plain data and are reproducible: same model, equation,
 strategy and seed give the identical report.  Everything runs in one
@@ -695,6 +697,7 @@ def eval_term(model: MeadowModel, t: Term,
 MAX_CARRIER = 1 << 20        # a finite model takes O(q) time and memory
 MAX_TABLE_CARRIER = 2048     # three q x q int64 tables: 100 MB at q = 2048
 SWEEP_CHUNK = 1 << 16        # assignments a sweep holds in arrays at once
+SMALL_SWEEP = 64             # the most assignments a sweep folds pointwise
 MAX_ASSIGNMENTS = 1 << 30    # the most assignments an exhaustive check sweeps
 
 
@@ -731,9 +734,35 @@ def _op_tables(model: FiniteMeadow):
     return tables
 
 
+def _first_mismatch(model, sides, envs):
+    """The first of the assignments envs under which the sides differ,
+    folded pointwise with the model's program ops, and how many were
+    folded; the assignment is None if the sides never differ."""
+    ops = model._program_ops()
+    evaluator = _evaluator(   # its leaf reads env, the assignment in turn
+        sides, lambda n: ops.lift(model.of_int(n)),
+        lambda name: ops.lift(env[name]), ops.add, ops.mul, ops.neg, ops.div,
+        ops.same)
+    for i, env in enumerate(envs, 1):
+        if not fold(sides, *evaluator):
+            return i, env
+    return i, None
+
+
+def _sweeps_pointwise(count: int) -> bool:
+    # importing numpy for the op tables costs more than a small sweep
+    return count <= SMALL_SWEEP and "numpy" not in sys.modules
+
+
 def _check_exhaustive(model, sides, names):
     q, k = model.size, len(names)
     count = _sweep_size(model, k)
+    if _sweeps_pointwise(count):
+        witness = _first_mismatch(model, sides, (
+            dict(zip(names, elements))
+            for elements in itertools.product(model.carrier, repeat=k)))[1]
+        return CheckReport(VALID if witness is None else REFUTED, witness,
+                           count)
     add, mul, neg, div = _op_tables(model)
     import numpy as np
 
@@ -767,17 +796,11 @@ def _check_exhaustive(model, sides, names):
 
 def _check_sampled(model, sides, names, strategy: Sampled):
     rng = random.Random(strategy.seed)
-    ops = model._program_ops()
-    values: dict[str, Any] = {}
-    evaluator = _evaluator(
-        sides, lambda n: ops.lift(model.of_int(n)), values.__getitem__,
-        ops.add, ops.mul, ops.neg, ops.div, ops.same)
-    for i in range(strategy.count):
-        env = {name: model.random_element(rng) for name in names}
-        values.update((name, ops.lift(e)) for name, e in env.items())
-        if not fold(sides, *evaluator):
-            return CheckReport(REFUTED, env, i + 1, strategy.seed)
-    return CheckReport(SAMPLED_OK, None, strategy.count, strategy.seed)
+    i, witness = _first_mismatch(model, sides, (
+        {name: model.random_element(rng) for name in names}
+        for _ in range(strategy.count)))
+    return CheckReport(SAMPLED_OK if witness is None else REFUTED, witness,
+                       i, strategy.seed)
 
 
 def check_eq(model: MeadowModel, lhs: Term, rhs: Term,

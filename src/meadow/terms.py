@@ -130,6 +130,28 @@ class Term(_Record):
             stack += reversed(parts + [")"])
         return "".join(out)
 
+    def __reduce__(self):
+        # each distinct node once, after the children it names by position,
+        # so pickling and copying recurse on no child however deep the term
+        if self.__class__ not in _CHILDREN:
+            return _Record.__reduce__(self)
+        entries, where, stack = [], {}, [self]
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            kids = _CHILDREN[cls](node) if cls in _CHILDREN else ()
+            later = [kid for kid in kids if id(kid) not in where]
+            if later:
+                stack += [node, *later]
+            elif id(node) not in where:
+                where[id(node)] = len(entries)
+                entries.append((cls, *[where[id(kid)] for kid in kids])
+                               if kids else (node,))
+        return _unflatten, (entries,)
+
+    def __deepcopy__(self, memo):
+        return self     # terms are immutable
+
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)
 
@@ -420,6 +442,14 @@ _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
     Neg: lambda t: (t.arg,), Inv: lambda t: (t.arg,),
 }
 _REBUILD = {cls: cls for cls in (Add, Mul, Neg, Div, Inv)}
+
+
+def _unflatten(entries: list[tuple]) -> Term:
+    """The term that ``Term.__reduce__`` flattened into entries."""
+    built: list[Any] = []
+    for head, *kids in entries:
+        built.append(head(*[built[i] for i in kids]) if kids else head)
+    return built[-1]
 
 
 def substitute(t: Term, binding: Mapping[str, Term]) -> Term:

@@ -427,30 +427,39 @@ def test_oversized_sweep_is_domain_error(capsys, monkeypatch):
         "sweeps: check by sampling instead (--strategy sampled --samples N)\n")
 
 
-# README-session commands that never build an op table
+# The README session's commands: none sweeps more than SMALL_SWEEP
+# assignments, so none builds an op table or imports numpy
 NUMPY_FREE_COMMANDS = [
     ["eval", "1 + 1/2", "--model", "q0"],
     ["eval", "x*x + x", "--model", "gf:2^2", "--assign", "x=a"],
+    ["check", "x/y = x*(1/y)", "--model", "mk:6"],
+    ["check", "1/(x + y) = 1/x + 1/y", "--model", "mk:5"],
     ["check", "x*(1/x) = x/x", "--model", "q0"],
-    ["check", "x*(1/x) = x/x", "--model", "q0", "--format", "json"],
     ["normalize", "(x + 1)*(x - 1)", "--canonical", "x"],
+    ["simplify", "1 + 1/x", "--model", "mk:6"],
     ["simplify", "1/x + 1/y", "--target", "sum-of-fractions"],
     ["falsify", "x + 1", "x"],
     ["char", "--model", "gf:3^2"],
+    ["check", "x*(1/x) = x/x", "--model", "q0", "--format", "json"],
+    ["demo", "omega"],
     ["demo", "separation"],
+    ["demo", "finite-simple"],
+    ["demo", "sum-of-fractions"],
     ["demo", "falsify-q0"],
 ]
 
 
-def test_numpy_loads_only_for_op_tables():
+def test_numpy_loads_only_for_op_tables(capsys):
     # a fresh process: this one has imported numpy already
     script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 import meadow, meadow.cli
 assert "numpy" not in sys.modules, "import"
+runs = []
 for argv in {NUMPY_FREE_COMMANDS!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert meadow.cli.main(argv) == 0, argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([meadow.cli.main(argv), out.getvalue(), err.getvalue()])
     assert "numpy" not in sys.modules, argv
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
@@ -467,13 +476,20 @@ assert code == 2 and err.getvalue().startswith(
     "error: gf:2^11 has 2048 elements, so 3 variables give 8589934592 "
     "assignments"), err.getvalue()
 assert "numpy" not in sys.modules, "gf:2^11"
-x = meadow.Var("x")
-assert meadow.check_eq(meadow.mk(6), x, x).verdict == "valid"
+x, y, z = meadow.Var("x"), meadow.Var("y"), meadow.Var("z")
+assert meadow.check_eq(meadow.mk(30), x + y + z, z + y + x) == \
+    meadow.CheckReport("valid", None, 30 ** 3)
 assert "numpy" in sys.modules, "check_eq"
+print(json.dumps(runs))
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # the pointwise sweeps there print what the table sweeps here print
+    runs = json.loads(proc.stdout)
+    for argv, run in zip(NUMPY_FREE_COMMANDS, runs):
+        assert list(run_cli(capsys, *argv)) == run, argv
+    assert [code for code, _, _ in runs] == [0, 0, 0, 1] + [0] * 12
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():

@@ -4,6 +4,8 @@ Results are compared by printed text, model values and summand tuples,
 and by structural == and hash, which walk with an explicit stack too.
 A quadratic numeral check would make the long sum alone take minutes.
 """
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -79,6 +81,9 @@ def test_walkers_at_depth_1e5(case):
     # terms
     twin = build()
     assert twin is not t and twin == t and hash(twin) == hash(t)
+    for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t),
+                 copy.deepcopy(t)):
+        assert twin == t and print_term(twin) == text
     assert first_leaf_replaced(t, Var("y")) != t
     assert print_term(to_divisive(to_inversive(Div(t, x)))) \
         == print_term(Mul(t, Div(ONE, x)))
@@ -109,3 +114,15 @@ def test_walkers_at_depth_1e5(case):
             for n, d in to_sum_of_simple_fractions(t)] == summands
     if coeffs is not None:
         assert to_canonical(t, "x").coeffs == coeffs
+
+
+def test_pickle_keeps_shared_subterms():
+    # 2^200 leaves as a tree, 201 distinct nodes
+    t = x
+    for _ in range(200):
+        t = Mul(t, t)
+    twin = pickle.loads(pickle.dumps(t))
+    for _ in range(200):
+        assert twin.__class__ is Mul and twin.left is twin.right
+        twin = twin.left
+    assert twin == x

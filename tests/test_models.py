@@ -180,7 +180,10 @@ class TestCrt:
         m30 = mk(30)
         assert m30.div(7, 11) == 7 * 11 % 30  # 11 is its own inverse mod 30
         assert "weak_inverse" not in vars(m30)
-        assert check_eq(m30, parse("x*(1/x)*x"), x).verdict == VALID
+        # 900 assignments: above SMALL_SWEEP, so swept over the op tables
+        assert 30 ** 2 > models.SMALL_SWEEP
+        assert check_eq(m30, parse("x*(1/y)*x"), parse("x*x/y")).verdict \
+            == VALID
         assert len(vars(m30)["weak_inverse"]) == 30
 
     def test_division_builds_no_weak_inverse_table(self):
@@ -522,7 +525,8 @@ def _no_tables(model):
 
 
 class TestChunkedSweep:
-    def test_matches_brute_force_on_every_finite_model(self, finite_models):
+    def test_matches_brute_force_on_every_finite_model(self, finite_models,
+                                                       monkeypatch):
         rng = random.Random(2718)
         for model in finite_models:
             names = ("x", "y") if model.size > 9 else ("x", "y", "z")
@@ -531,12 +535,18 @@ class TestChunkedSweep:
             for lhs, other in zip(terms, terms[1:] + terms[:1]):
                 same = to_simple_fraction_finite(model, lhs)
                 for rhs in (same, Add(same, ONE), other):
-                    report = check_eq(model, lhs, rhs)
-                    assert (report.verdict, report.counterexample) == \
-                        _brute_force_check(model, lhs, rhs), \
-                        (model.name, lhs, rhs)
+                    expected = _brute_force_check(model, lhs, rhs)
                     count = len(set(variables(lhs)) | set(variables(rhs)))
-                    assert report.evaluations == model.size ** count
+                    # each path on every check, whatever its size and
+                    # whether numpy is loaded
+                    for pointwise in (True, False):
+                        monkeypatch.setattr(models, "_sweeps_pointwise",
+                                            lambda _: pointwise)
+                        report = check_eq(model, lhs, rhs)
+                        assert (report.verdict, report.counterexample) == \
+                            expected, (model.name, lhs, rhs, pointwise)
+                        assert report.evaluations == model.size ** count
+                        assert report.seed is None
                     verdicts.append(report.verdict)
             assert set(verdicts) == {VALID, REFUTED}, model.name
 
