@@ -12,9 +12,10 @@ It folds structurally equal subterms once.  Its plan of a term's
 structurally distinct nodes is kept for the term planned last, so folds
 and subterm predicates on one term back to back walk it once; that term
 and its plan stay alive until another term is planned.
-Structural equality and hashing walk the two terms with an explicit
-stack, and so does repr, so terms compare, serve as dictionary keys and
-have a repr at any depth.
+The plan keys each distinct node, and those keys define structural
+equality: ==, hash and pickling read them, so terms compare, serve as
+dictionary keys and pickle at any depth and in time linear in their
+distinct nodes.  Only repr walks on its own, with an explicit stack.
 Operators +, -, * and / are overloaded for convenience; they build
 trees, they never compute.
 """
@@ -87,29 +88,10 @@ class Term(_Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        lefts, rights = [self], [other]
-        while lefts:
-            a, b = lefts.pop(), rights.pop()
-            cls = a.__class__
-            if a is b:
-                continue
-            if cls is not b.__class__ or cls is Var and a.name != b.name:
-                return False
-            if cls in _CHILDREN:
-                lefts.extend(_CHILDREN[cls](a))
-                rights.extend(_CHILDREN[cls](b))
-        return True
+        return self is other or _plan(self)[2] == _plan(other)[2]
 
     def __hash__(self):
-        # the node classes in one fixed order, variables by name, fix the term
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            cls = node.__class__
-            out.append(node.name if cls is Var else cls)
-            if cls in _CHILDREN:
-                stack.extend(_CHILDREN[cls](node))
-        return hash(tuple(out))
+        return hash(tuple(_plan(self)[2]))
 
     def __repr__(self):
         # the field-by-field repr of _Record, built with an explicit stack
@@ -131,23 +113,9 @@ class Term(_Record):
         return "".join(out)
 
     def __reduce__(self):
-        # each distinct node once, after the children it names by position,
-        # so pickling and copying recurse on no child however deep the term
-        if self.__class__ not in _CHILDREN:
-            return _Record.__reduce__(self)
-        entries, where, stack = [], {}, [self]
-        while stack:
-            node = stack.pop()
-            cls = node.__class__
-            kids = _CHILDREN[cls](node) if cls in _CHILDREN else ()
-            later = [kid for kid in kids if id(kid) not in where]
-            if later:
-                stack += [node, *later]
-            elif id(node) not in where:
-                where[id(node)] = len(entries)
-                entries.append((cls, *[where[id(kid)] for kid in kids])
-                               if kids else (node,))
-        return _unflatten, (entries,)
+        # the keys name children by position, so pickling and copying
+        # recurse on no child however deep the term
+        return _unflatten, (list(_plan(self)[2]),)
 
     def __deepcopy__(self, memo):
         return self     # terms are immutable
@@ -354,7 +322,7 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     Folds of the same object back to back walk it once: the last term
     planned and its plan stay alive until another term is planned.
     """
-    plan, last = _plan(t)
+    plan, last, _ = _plan(t)
     values: list[Any] = [None] * len(plan)
     for i, (cls, a, b) in enumerate(plan):
         if cls is None:
@@ -369,29 +337,32 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     return values[-1]
 
 
-# The last term planned, its plan and last-use table; no term is the sentinel.
-_slot: tuple[Any, list, dict] = (object(), [], {})
+# The last term planned, its plan, last-use table and keys; no term is the
+# sentinel.
+_slot: tuple[Any, list, dict, dict] = (object(), [], {}, {})
 
 
-def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
+def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
+                            dict[Any, int]]:
     """Each structurally distinct node of t once, children first, as
     (None, node, n) or (class, a, b), a and b being the children's
-    positions, and each position's last parent; the plan of the term
-    planned last is reused.
+    positions, each position's last parent, and each node's key with its
+    position; the plan of the term planned last is reused.
 
-    Equal leaves are one variable name or one integer, the constant 1
-    apart from the numeral 0 + 1; equal operations have equal classes
-    and equal children's positions.
+    A key is a variable name, the integer of a numeral, ``One`` for the
+    constant 1, or (class, a, b) for an operation.  Keys are not terms,
+    and two terms are structurally equal exactly when their keys are:
+    they are what ==, hash and pickling read.
     """
     global _slot
     slot = _slot
     if slot[0] is t:
-        return slot[1], slot[2]
+        return slot[1:]
     # A stack entry's flag is the node's children once they are planned;
     # before, True marks a p + 1 step whose + 1 chain does not start at 0.
     plan: list[tuple[Any, Any, Any]] = []
     where: dict[int, int] = {}          # id(node) -> position
-    index: dict[Any, int] = {}          # leaf or operation -> position
+    index: dict[Any, int] = {}          # key -> position
     last: dict[int | None, int] = {}    # position -> its last parent's
     stack: list[tuple[Term, Any]] = [(t, False)]
     while stack:
@@ -413,7 +384,9 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
                 if base.__class__ is Zero:
                     n = count if head is node else -count
                 flag = n is None
-            if n is None and cls is not Var:
+            # a variable named by other than a string is no term: its key
+            # could equal a numeral's or be a term itself
+            if n is None and (cls is not Var or node.name.__class__ is not str):
                 if cls not in _CHILDREN:
                     raise TypeError(f"not a term: {node!r}")
                 kids = _CHILDREN[cls](node)
@@ -425,14 +398,14 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int]]:
                               and first.right.__class__ is One))
                 continue
             entry = None, node, n
-            key = node.name if n is None else ONE if cls is One else n
+            key = node.name if n is None else One if cls is One else n
         i = where[id(node)] = index.setdefault(key, len(plan))
         if i == len(plan):
             plan.append(entry)
             if entry[0] is not None:
                 last[a] = last[b] = i
-    _slot = t, plan, last
-    return plan, last
+    _slot = t, plan, last, index
+    return plan, last, index
 
 
 _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
@@ -444,11 +417,17 @@ _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
 _REBUILD = {cls: cls for cls in (Add, Mul, Neg, Div, Inv)}
 
 
-def _unflatten(entries: list[tuple]) -> Term:
-    """The term that ``Term.__reduce__`` flattened into entries."""
-    built: list[Any] = []
-    for head, *kids in entries:
-        built.append(head(*[built[i] for i in kids]) if kids else head)
+def _unflatten(keys: list) -> Term:
+    """The term whose plan has the keys that ``Term.__reduce__`` pickled."""
+    built: list[Term] = []
+    for key in keys:
+        if key.__class__ is tuple:
+            cls, a, b = key
+            built.append(cls(built[a]) if b is None
+                         else cls(built[a], built[b]))
+        else:
+            built.append(Var(key) if key.__class__ is str else ONE
+                         if key is One else mk_numeral(key))
     return built[-1]
 
 

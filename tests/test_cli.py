@@ -1,11 +1,14 @@
 import json
+import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from meadow import BasicTerm, eval_term, mk, q0
 from meadow.cli import main
 from meadow.models import GaloisMeadow
 
@@ -344,6 +347,37 @@ def test_readme_console_session(capsys):
         code, out, _ = run_cli(capsys, *argv[1:])
         assert out == expected, argv
         assert code == (1 if "Refuted" in expected.splitlines() else 0), argv
+
+
+def test_readme_library_tour():
+    """README.md's library tour runs, and each result in its comments holds:
+    `expression  # result` lines, and the summands of the closing line with
+    their values in q0 and mk:2."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(tour, namespace)
+    results = []
+    for line in tour.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            want = re.match(r"[^:;]+", comment)[0]
+            assert eval(code, namespace) == eval(want, namespace), line
+            results.append(want)
+    assert results == ["Fraction(4, 3)", "Fraction(1, 1)", "'valid'",
+                       "'(1 + 1*x*x*x)/1'", "2"]
+
+    last, comment = tour.splitlines()[-2:]
+    shown, in_q0, in_mk2 = re.fullmatch(
+        r"# \((.*)\): evaluates to (\S+) in q0 and to (\S+) in mk:2",
+        comment).groups()
+    summands = eval(last, namespace)
+    assert [f"{'+' if s.sign > 0 else '-'}{s.num}/{s.den}"
+            for s in summands] == shown.split(", ") == ["+1/1", "-2/2", "+4/6"]
+    basic = BasicTerm(summands).to_term()
+    assert (in_q0, in_mk2) == ("2/3", "1")
+    assert eval_term(q0(), basic) == Fraction(in_q0)
+    assert eval_term(mk(2), basic) == int(in_mk2)
 
 
 def test_console_script_wiring():

@@ -1,7 +1,7 @@
 """Every term walk on terms nested 10^5 deep: no recursion, linear time.
 
 Results are compared by printed text, model values and summand tuples,
-and by structural == and hash, which walk with an explicit stack too.
+and by structural == and hash, which read the keys of the terms' plans.
 A quadratic numeral check would make the long sum alone take minutes.
 """
 import copy

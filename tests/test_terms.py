@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 import subprocess
 import sys
@@ -30,6 +32,60 @@ def test_structural_equality_and_hash():
     assert Add(ZERO, ONE) != Add(ONE, ZERO)
     assert hash(Div(Var("x"), ONE)) == hash(Div(Var("x"), ONE))
     assert len({ZERO, ZERO, ONE}) == 2
+
+
+def test_identity_refuses_a_term_with_a_foreign_child():
+    # two non-term children of one class are not taken as equal
+    x = Var("x")
+    with pytest.raises(TypeError, match="not a term: 1"):
+        Add(x, 1) == Add(x, 2)
+    for bad in (Add(x, 1), Neg(Add(x, 2)), Div(ONE, "y"), Var(1),
+                Add(Var(1), x)):
+        for use in (lambda t: Neg(t) == Neg(x), lambda t: Neg(t) == Neg(t),
+                    hash, pickle.dumps, copy.copy, _count):
+            with pytest.raises(TypeError, match="not a term: "):
+                use(bad)
+
+
+def test_identity_tells_a_variable_from_a_numeral():
+    x = Var("x")
+    assert Add(mk_numeral(1), x) != Add(ONE, x)
+    assert Add(mk_numeral(3), x) != Add(Var("3"), x)
+    assert Add(x, mk_numeral(2)) == Add(x, Add(Add(ZERO, ONE), ONE))
+    assert hash(Mul(mk_numeral(-2), x)) == hash(parse("-2*x"))
+
+
+def test_pickles_and_copies_store_each_distinct_node_once():
+    x = Var("x")
+    t = parse("x^3000 + 2/(x + 1)")
+    for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
+        assert twin is not t and twin == t
+        assert print_term(twin) == print_term(t)
+    # equal subterms come back as one object, numerals from their integer
+    twin = copy.copy(Add(Mul(x, Var("x")), Mul(Var("x"), x)))
+    assert twin.left is twin.right and twin.left.left is twin.left.right
+    assert pickle.loads(pickle.dumps(mk_numeral(-5))) == mk_numeral(-5)
+    assert len(pickle.dumps(mk_numeral(10**4))) < 100
+    assert copy.copy(ONE) is ONE and copy.copy(Zero()) is ZERO
+
+
+def test_identity_is_linear_on_shared_terms():
+    # 64 doublings make a tree of 2^65 - 1 nodes and 65 distinct objects;
+    # a walk of the tree would never return
+    script = (
+        "import copy, pickle\n"
+        "from meadow import Mul, Var\n"
+        "x = t = Var('x')\n"
+        "for _ in range(64):\n"
+        "    t = Mul(t, t)\n"
+        "assert isinstance(hash(t), int)\n"
+        "assert t == pickle.loads(pickle.dumps(t))\n"
+        "assert t == copy.copy(t)\n"
+        "assert t != Mul(t, x)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_operator_overloads_build_trees():
