@@ -19,7 +19,11 @@ either way.
 
 ``check_eq`` decides equations over a finite model by exhausting all
 assignments, and tests them on an infinite model by deterministic
-seeded sampling.  While numpy is not loaded, a sweep of at most
+seeded sampling.  A sweep gives each variable only the elements below
+the model's ``sweep_base``, which decide every assignment (for ``mk:k``
+the residues below k's largest prime, see ``ModularMeadow``); a report's
+``evaluations`` counts the size**n assignments decided.  While numpy is
+not loaded, a sweep of at most
 ``SMALL_SWEEP`` assignments folds them one by one, as sampling does,
 since importing numpy costs more.  Any other sweep is vectorized over
 numpy lookup tables (numpy is imported by the first table build), in
@@ -133,10 +137,14 @@ class FiniteMeadow(MeadowModel):
     the weak inverse of b is b**(2e - 1).  ``element_at`` and ``index_of``
     map numbers to elements and back.  The carrier list is built only
     when something reads it, so a large model costs nothing up front.
+    Each also derives ``sweep_base``: an exhaustive check sweeps only the
+    elements numbered below it, for every variable, and that decides it
+    over the whole carrier (``size`` for a field; see ``ModularMeadow``).
     """
 
     is_finite = True
     unit_exponent: int
+    sweep_base: int
 
     @cached_property
     def carrier(self) -> list:
@@ -349,6 +357,16 @@ class ModularMeadow(FiniteMeadow):
     ``div`` computes that one power per division; the k-entry
     ``weak_inverse`` tuple is built only with the op tables, which are
     index arithmetic mod k.
+
+    Z/kZ is the product of the fields Z/pZ, p | k, and each projection
+    a -> a mod p is a meadow homomorphism: (p - 1) divides l, so it maps
+    the weak inverse b**(2l - 1) to the field inverse, and 0 to 0.  If
+    the sides of an equation differ at an assignment a, they differ at
+    a mod p for some p, hence also at r = a mod p read back in Z/kZ,
+    whose entries are all below p.  So ``sweep_base`` is the largest p:
+    its residues decide every check, and since r <= a in each entry, the
+    lexicographically least counterexample lies among them too.  A
+    report's ``evaluations`` still counts the k**n assignments decided.
     """
 
     def __init__(self, k: int):
@@ -357,6 +375,7 @@ class ModularMeadow(FiniteMeadow):
         self.primes = _square_free_primes(k)
         self.name = f"mk:{k}"
         self.k = self.size = k
+        self.sweep_base = max(self.primes)
         self.characteristic = k
         self.unit_exponent = math.lcm(*(p - 1 for p in self.primes))
         self.zero = 0
@@ -547,7 +566,7 @@ class GaloisMeadow(FiniteMeadow):
         self.name = f"gf:{p}^{n}"
         self.p = p
         self.n = n
-        self.size = p ** n
+        self.size = self.sweep_base = p ** n
         self.characteristic = p
         self.unit_exponent = self.size - 1
         self.modulus = _first_irreducible(p, n)
@@ -708,13 +727,16 @@ def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
 
 
 def _sweep_size(model: FiniteMeadow, k: int) -> int:
-    """Assignments an exhaustive check of k variables sweeps over model;
-    CarrierTooLargeError past MAX_ASSIGNMENTS or MAX_TABLE_CARRIER."""
-    q = model.size
-    count = q ** k
+    """Assignments an exhaustive check of k variables sweeps over model,
+    sweep_base**k; CarrierTooLargeError past MAX_ASSIGNMENTS or
+    MAX_TABLE_CARRIER."""
+    q, b = model.size, model.sweep_base
+    count = b ** k
     if count > MAX_ASSIGNMENTS:
+        swept = (f"has {q} elements" if b == q
+                 else f"is decided by its residues below {b}")
         raise CarrierTooLargeError(
-            f"{model.name} has {q} elements, so {k} variables give {count} "
+            f"{model.name} {swept}, so {k} variables give {count} "
             f"assignments, more than the {MAX_ASSIGNMENTS} that exhaustive "
             "checking sweeps: check by sampling instead "
             "(--strategy sampled --samples N)")
@@ -755,12 +777,13 @@ def _sweeps_pointwise(count: int) -> bool:
 
 
 def _check_exhaustive(model, sides, names):
-    q, k = model.size, len(names)
-    count = _sweep_size(model, k)
-    if _sweeps_pointwise(count):
+    base, k = model.sweep_base, len(names)
+    swept, count = _sweep_size(model, k), model.size ** k
+    if _sweeps_pointwise(swept):
+        elements = model.carrier[:base]
         witness = _first_mismatch(model, sides, (
-            dict(zip(names, elements))
-            for elements in itertools.product(model.carrier, repeat=k)))[1]
+            dict(zip(names, assigned))
+            for assigned in itertools.product(elements, repeat=k)))[1]
         return CheckReport(VALID if witness is None else REFUTED, witness,
                            count)
     add, mul, neg, div = _op_tables(model)
@@ -771,19 +794,20 @@ def _check_exhaustive(model, sides, names):
     # variable j varies along axis j only and the table lookups broadcast,
     # so a subterm's array spans just the trailing variables it contains.
     width = 0
-    while width < k and q ** (width + 1) <= SWEEP_CHUNK:
+    while width < k and base ** (width + 1) <= SWEEP_CHUNK:
         width += 1
-    lead, shape = k - width, (q,) * width
-    env = {name: np.arange(q).reshape((1,) * j + (q,) + (1,) * (width - j - 1))
+    lead, shape = k - width, (base,) * width
+    env = {name: np.arange(base).reshape(
+               (1,) * j + (base,) + (1,) * (width - j - 1))
            for j, name in enumerate(names[lead:])}
     evaluator = _evaluator(
         sides, lambda n: model.index_of(model.of_int(n)), env.__getitem__,
         lambda a, b: add[a, b], lambda a, b: mul[a, b], neg.__getitem__,
         lambda a, b: div[a, b], operator.ne)
     # Chunks, and the assignments within a chunk, come in lexicographic
-    # order over the carrier with the first variable most significant, so
-    # the first mismatch is the lexicographically least counterexample.
-    for fixed in itertools.product(range(q), repeat=lead):
+    # order with the first variable most significant, so the first
+    # mismatch is the lexicographically least counterexample.
+    for fixed in itertools.product(range(base), repeat=lead):
         env.update(zip(names, fixed))
         mismatch = np.broadcast_to(fold(sides, *evaluator), shape)
         if mismatch.any():

@@ -10,7 +10,7 @@ import pytest
 
 from meadow import BasicTerm, eval_term, mk, q0
 from meadow.cli import main
-from meadow.models import GaloisMeadow
+from meadow.models import GaloisMeadow, ModularMeadow
 
 
 def run_cli(capsys, *argv):
@@ -461,6 +461,26 @@ def test_oversized_sweep_is_domain_error(capsys, monkeypatch):
         "sweeps: check by sampling instead (--strategy sampled --samples N)\n")
 
 
+def test_sweep_bound_counts_the_residues_swept(capsys, monkeypatch):
+    # mk:30 sweeps its residues below 5: 5 ** 7 assignments decide 30 ** 7
+    code, out, err = run_cli(capsys, "check", "a+b+c+d+e+f+g = g+f+e+d+c+b+a",
+                             "--model", "mk:30")
+    assert (code, out, err) == (
+        0, f"Valid\nchecked {30 ** 7} assignments exhaustively\n", "")
+    # mk:2038 = 2 * 1019 sweeps 1019 ** 4, too many, before any table
+    def no_tables(model):
+        raise AssertionError("op tables built")
+    monkeypatch.setattr(ModularMeadow, "_build_tables", no_tables)
+    code, out, err = run_cli(capsys, "check", "a+b+c+d = d+c+b+a",
+                             "--model", "mk:2038")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: mk:2038 is decided by its residues below 1019, so 4 "
+        f"variables give {1019 ** 4} assignments, more than the {1 << 30} "
+        "that exhaustive checking sweeps: check by sampling instead "
+        "(--strategy sampled --samples N)\n")
+
+
 # The README session's commands: none sweeps more than SMALL_SWEEP
 # assignments, so none builds an op table or imports numpy
 NUMPY_FREE_COMMANDS = [
@@ -511,6 +531,10 @@ assert code == 2 and err.getvalue().startswith(
     "assignments"), err.getvalue()
 assert "numpy" not in sys.modules, "gf:2^11"
 x, y, z = meadow.Var("x"), meadow.Var("y"), meadow.Var("z")
+# 900 assignments over mk:30, decided by the 25 below its largest prime
+assert meadow.check_eq(meadow.mk(30), x * y, y * x) == \
+    meadow.CheckReport("valid", None, 900)
+assert "numpy" not in sys.modules, "mk:30"
 assert meadow.check_eq(meadow.mk(30), x + y + z, z + y + x) == \
     meadow.CheckReport("valid", None, 30 ** 3)
 assert "numpy" in sys.modules, "check_eq"

@@ -180,9 +180,9 @@ class TestCrt:
         m30 = mk(30)
         assert m30.div(7, 11) == 7 * 11 % 30  # 11 is its own inverse mod 30
         assert "weak_inverse" not in vars(m30)
-        # 900 assignments: above SMALL_SWEEP, so swept over the op tables
-        assert 30 ** 2 > models.SMALL_SWEEP
-        assert check_eq(m30, parse("x*(1/y)*x"), parse("x*x/y")).verdict \
+        # 5 ** 3 assignments: above SMALL_SWEEP, so swept over the op tables
+        assert models._sweep_size(m30, 3) == 5 ** 3 > models.SMALL_SWEEP
+        assert check_eq(m30, parse("x*(1/y)*z"), parse("x*z/y")).verdict \
             == VALID
         assert len(vars(m30)["weak_inverse"]) == 30
 
@@ -520,6 +520,28 @@ def _brute_force_check(model, lhs, rhs):
     return VALID, None
 
 
+def _full_grid_check(model, lhs, rhs):
+    """What _brute_force_check gives, from the element-operation tables
+    over all size**n assignments at once, in one array."""
+    names = sorted(set(variables(lhs)) | set(variables(rhs)))
+    add, mul, neg, div = _brute_force_tables(model)
+    one, shape = model.index_of(model.one), (model.size,) * len(names)
+    grid = dict(zip(names, np.indices(shape)))
+
+    def leaf(node, n):
+        return grid[node.name] if n is None else model.index_of(
+            model.of_int(n))
+    ops = {Add: lambda a, b: add[a, b], Mul: lambda a, b: mul[a, b],
+           Neg: lambda a: neg[a], Div: lambda a, b: div[a, b],
+           Inv: lambda a: div[one, a]}
+    mismatch = np.broadcast_to(fold(lhs, leaf, ops) != fold(rhs, leaf, ops),
+                               shape)
+    if not mismatch.any():
+        return VALID, None
+    at = np.unravel_index(int(np.argmax(mismatch)), shape)
+    return REFUTED, {n: model.element_at(int(i)) for n, i in zip(names, at)}
+
+
 def _no_tables(model):
     raise AssertionError(f"op tables of {model.name} built")
 
@@ -550,6 +572,58 @@ class TestChunkedSweep:
                     verdicts.append(report.verdict)
             assert set(verdicts) == {VALID, REFUTED}, model.name
 
+    @pytest.mark.parametrize("spec", ["mk:10", "mk:42", "mk:210"])
+    def test_composite_moduli_match_brute_force(self, spec, monkeypatch):
+        # each sweeps only the residues below its largest prime P; some of
+        # these equations fail in one prime factor only, and the last three
+        # first fail at x = P - 1 over mk:10, mk:42 and mk:210
+        model, rng = model_from_spec(spec), random.Random(1414)
+        pairs = [(parse(lhs), parse(rhs)) for lhs, rhs in [
+            ("x + x", "0"), ("x*x", "x"), ("x*x*x", "x"), ("x^5", "x"),
+            ("105*x", "0"), ("70*x*y", "0"), ("x*y*(x - y)", "0"),
+            ("x/y", "x*(1/y)"), ("1/(1/x)", "x"), ("x*y", "y*x + 21"),
+            ("2*(x + 1)^4", "2"), ("6*(x + 1)^6", "6"),
+            ("30*(x + 1)^6", "30"),
+        ]]
+        terms = [random_term(rng, 4, names=("x", "y")) for _ in range(8)]
+        for lhs, other in zip(terms, terms[1:] + terms[:1]):
+            same = to_simple_fraction_finite(model, lhs)
+            pairs += [(lhs, same), (lhs, Add(same, ONE)), (lhs, other)]
+        verdicts = []
+        for lhs, rhs in pairs:
+            expected = _full_grid_check(model, lhs, rhs)
+            if model.size == 10:   # the grid oracle against eval_term
+                assert _brute_force_check(model, lhs, rhs) == expected
+            count = len(set(variables(lhs)) | set(variables(rhs)))
+            for pointwise in (True, False):
+                monkeypatch.setattr(models, "_sweeps_pointwise",
+                                    lambda _: pointwise)
+                report = check_eq(model, lhs, rhs)
+                assert report == CheckReport(*expected, model.size ** count), \
+                    (spec, lhs, rhs, pointwise)
+            verdicts.append(expected[0])
+        assert verdicts.count(REFUTED) >= 12, verdicts
+        assert verdicts.count(VALID) >= 10, verdicts
+
+    def test_three_variables_over_mk30_fold_125_assignments(self, m30,
+                                                            monkeypatch):
+        # the residues below 5, mk:30's largest prime, decide all 30 ** 3
+        lhs, rhs = parse("x*(y + z)"), parse("x*y + x*z")
+        folded = []
+
+        def counting_fold(t, leaf, ops):
+            value = fold(t, leaf, ops)
+            folded.append(np.size(value))
+            return value
+        monkeypatch.setattr(models, "fold", counting_fold)
+        for pointwise in (True, False):
+            monkeypatch.setattr(models, "_sweeps_pointwise",
+                                lambda _: pointwise)
+            folded.clear()
+            report = check_eq(m30, lhs, rhs)
+            assert report == CheckReport(VALID, None, 30 ** 3)
+            assert sum(folded) == 5 ** 3, pointwise
+
     @pytest.mark.parametrize("lhs, rhs, witness", [
         ("a + b + c + d", "b + c + d", {"a": 1, "b": 0, "c": 0, "d": 0}),
         ("a*d + b + c", "b + c", {"a": 1, "b": 0, "c": 0, "d": 1}),
@@ -558,25 +632,34 @@ class TestChunkedSweep:
     ])
     def test_least_counterexample_outside_the_first_chunk(self, m30, lhs,
                                                           rhs, witness):
-        # a chunk holds the last three variables over mk:30
-        assert 30 ** 3 <= models.SWEEP_CHUNK < 30 ** 4
+        # a chunk holds the last three variables over mk:31, so each
+        # witness lies past the first chunk; mk:30 sweeps the residues
+        # below 5, one chunk
+        assert 31 ** 3 <= models.SWEEP_CHUNK < 31 ** 4
         lhs, rhs = parse(lhs), parse(rhs)
-        report = check_eq(m30, lhs, rhs)
-        assert report == CheckReport(REFUTED, witness, 30 ** len(witness))
-        assert _brute_force_check(m30, lhs, rhs) == (REFUTED, witness)
+        for model in (m30, mk(31)):
+            report = check_eq(model, lhs, rhs)
+            assert report == CheckReport(REFUTED, witness,
+                                         model.size ** len(witness))
+            assert _brute_force_check(model, lhs, rhs) == (REFUTED, witness)
 
     def test_memory_is_bounded_by_the_chunk(self, m30):
-        lhs = parse("(a + b)*(c + d + e)")
-        rhs = parse("a*c + a*d + a*e + b*c + b*d + b*e")
-        _op_tables(m30)
-        tracemalloc.start()
-        try:
-            report = check_eq(m30, lhs, rhs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report == CheckReport(VALID, None, 30 ** 5)
-        assert peak < 16 << 20, peak
+        # gf:2^8 sweeps 256 ** 3 assignments in chunks of 256 ** 2
+        for model, lhs, rhs in [
+            (m30, "(a + b)*(c + d + e)", "a*c + a*d + a*e + b*c + b*d + b*e"),
+            (gf(2, 8), "(a + b)*c", "a*c + b*c"),
+        ]:
+            lhs, rhs = parse(lhs), parse(rhs)
+            _op_tables(model)
+            tracemalloc.start()
+            try:
+                report = check_eq(model, lhs, rhs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            count = len(variables(lhs))
+            assert report == CheckReport(VALID, None, model.size ** count)
+            assert peak < 16 << 20, (model.name, peak)
 
     def test_oversized_sweep_is_refused_before_tables(self, monkeypatch):
         monkeypatch.setattr(models.GaloisMeadow, "_build_tables", _no_tables)
