@@ -5,14 +5,15 @@ CLI prints can be reproduced programmatically with the same arguments.
 Exit status: 0 for success (including Valid and SampledOk verdicts),
 1 when a check is Refuted (the counterexample is printed), 2 for usage
 or domain errors.  ``--format json`` emits one line of deterministic
-JSON (sorted keys, no whitespace) so reruns are byte-identical.
+JSON (sorted keys, no whitespace) so reruns are byte-identical.  A term
+or equation given as ``-`` is read from stdin, which has no length cap.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .errors import MeadowError
+from .errors import CarrierTooLargeError, MeadowError
 from .models import (
     Exhaustive, Sampled, REFUTED, VALID, _sweep_size,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
@@ -20,8 +21,8 @@ from .models import (
 from .normal_forms import render_basic, render_quotient, to_basic
 from .polynomials import to_canonical
 from .syntax import parse as parse_term
-from .syntax import print_term, term_to_data
-from .terms import Var, ZERO, mk_numeral, substitute, variables
+from .syntax import _MAX_LITERAL, print_term, term_to_data
+from .terms import Term, Var, ZERO, mk_numeral, substitute, variables
 from .transforms import (
     claim_sides, closed_to_simple_fraction_q0, falsify_simple_fraction_claim,
     find_annihilating_exponents, to_simple_fraction_finite,
@@ -104,7 +105,8 @@ class _Json(str):
 
 def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, separators=(",", ":")), with an
-    explicit stack so deep term trees encode like shallow ones."""
+    explicit stack so deep term trees encode like shallow ones.  A term
+    encodes as its text, built only here, since that can take long."""
     import json  # here, since most commands print text
     out, todo = [], [value]
     while todo:
@@ -118,7 +120,8 @@ def _dumps(value) -> str:
                 todo += [x, _Json("," * (n > 0) + label)]
             todo.append(_Json("{" if keyed else "["))
         else:
-            out.append(v if isinstance(v, _Json) else json.dumps(v))
+            out.append(v if isinstance(v, _Json) else json.dumps(
+                print_term(v) if isinstance(v, Term) else v))
     return "".join(out)
 
 
@@ -187,7 +190,7 @@ def _cmd_eval(args) -> int:
     binding = _parse_assignment(model, args.assign)
     value = eval_term(model, t, binding)
     rendered = model.format_element(value)
-    _emit(args, {"command": "eval", "model": model.name, "term": print_term(t),
+    _emit(args, {"command": "eval", "model": model.name, "term": t,
                  "assignment": {k: model.format_element(v)
                                 for k, v in sorted(binding.items())},
                  "value": rendered}, [rendered])
@@ -224,9 +227,8 @@ def _cmd_check(args) -> int:
     lhs = parse_term(lhs_text.strip())
     rhs = parse_term(rhs_text.strip())
     report = check_eq(model, lhs, rhs, _strategy_from(args, model))
-    payload = {"command": "check", "model": model.name,
-               "lhs": print_term(lhs), "rhs": print_term(rhs),
-               **_report_payload(model, report)}
+    payload = {"command": "check", "model": model.name, "lhs": lhs,
+               "rhs": rhs, **_report_payload(model, report)}
     _emit(args, payload, _report_lines(model, report))
     return 1 if report.verdict == REFUTED else 0
 
@@ -246,6 +248,10 @@ def _cmd_simplify(args) -> int:
         return 0
     if model.is_finite:
         _sweep_size(model, len(variables(t)))  # refuse before transforming
+        if (e := 2 * model.unit_exponent - 1) > _MAX_LITERAL:
+            raise CarrierTooLargeError(
+                f"{model.name} rewrites 1/x as x^{e}, a power above the "
+                f"x^{_MAX_LITERAL} that the parser expands")
         out = to_simple_fraction_finite(model, t)
         report = check_eq(model, t, out)
         printed = print_term(out)
@@ -431,6 +437,9 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        for name in ("term", "equation", "f", "g"):
+            if getattr(args, name, None) == "-":
+                setattr(args, name, sys.stdin.read())
         return _HANDLERS[args.command](args)
     except (MeadowError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

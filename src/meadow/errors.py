@@ -77,7 +77,7 @@ class InfiniteExhaustiveError(MeadowError):
 
 
 class CarrierTooLargeError(MeadowError):
-    """A finite model or its op tables would need too large a carrier."""
+    """A finite model, or a sweep or rewrite over it, would be too large."""
 
 
 class InfiniteCarrierError(MeadowError):

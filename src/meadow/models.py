@@ -23,18 +23,16 @@ seeded sampling.  A sweep gives each variable only the elements below
 the model's ``sweep_base``, which decide every assignment (for ``mk:k``
 the residues below k's largest prime, see ``ModularMeadow``); a report's
 ``evaluations`` counts the size**n assignments decided.  While numpy is
-not loaded, a sweep of at most
-``SMALL_SWEEP`` assignments folds them one by one, as sampling does,
-since importing numpy costs more.  Any other sweep is vectorized over
-numpy lookup tables (numpy is imported by the first table build), in
-chunks of at most ``SWEEP_CHUNK`` assignments in lexicographic order,
-so its memory does not grow with the number of assignments.  A sweep of
-more than ``MAX_ASSIGNMENTS`` is refused before either path runs.  Finite
-carriers above ``MAX_CARRIER`` are refused before anything is built.
-Reports are plain data and are reproducible: same model, equation,
-strategy and seed give the identical report.  Everything runs in one
-thread; determinism is part of the contract, speed comes from the
-tables.
+not loaded, a sweep of at most ``SMALL_SWEEP`` assignments folds them
+one by one, as sampling does, since importing numpy costs more.  Any
+other sweep is vectorized over the model's ``_sweep_ops``, numpy vectors
+of O(q) entries built (and numpy imported) on the first such sweep, in
+chunks of at most ``SWEEP_CHUNK`` assignments in lexicographic order.
+A sweep of more than ``MAX_ASSIGNMENTS`` is refused before either path
+runs.  Finite carriers above ``MAX_CARRIER`` are refused before anything
+is built.  Reports are plain data and are reproducible: same model,
+equation, strategy and seed give the identical report.  Everything runs
+in one thread; determinism is part of the contract.
 """
 from __future__ import annotations
 
@@ -355,8 +353,8 @@ class ModularMeadow(FiniteMeadow):
     satisfies b**(l + 1) = b, where the unit exponent l is lcm(p - 1) over
     the primes p of k (Carmichael's function), so w(b) = b**(2l - 1).
     ``div`` computes that one power per division; the k-entry
-    ``weak_inverse`` tuple is built only with the op tables, which are
-    index arithmetic mod k.
+    ``weak_inverse`` tuple is built only with ``_sweep_ops``, which
+    compute on the residues themselves.
 
     Z/kZ is the product of the fields Z/pZ, p | k, and each projection
     a -> a mod p is a meadow homomorphism: (p - 1) divides l, so it maps
@@ -386,12 +384,15 @@ class ModularMeadow(FiniteMeadow):
         """w(b) = 1/b for every residue b, built on first use."""
         return tuple(self.div(1, b) for b in range(self.k))
 
-    def _build_tables(self):
+    @cached_property
+    def _sweep_ops(self) -> "ProgramOps":
         import numpy as np
 
-        k, i = self.k, np.arange(self.k, dtype=np.int64)
-        return ((i[:, None] + i) % k, (i[:, None] * i) % k, -i % k,
-                i[:, None] * np.array(self.weak_inverse, dtype=np.int64) % k)
+        k, w = self.k, np.array(self.weak_inverse)
+        wrap = np.arange(2 * k) % k   # faster than % for a + b and k - a
+        return ProgramOps(_itself, _itself, operator.eq,
+                          lambda a, b: wrap[a + b], lambda a, b: a * b % k,
+                          lambda a: wrap[k - a], lambda a, b: a * w[b] % k)
 
     def add(self, a, b):
         return (a + b) % self.k
@@ -549,10 +550,11 @@ class GaloisMeadow(FiniteMeadow):
     encoding sum(c_i * p^i), putting 0, 1 first and the generator next
     (for n >= 2).
 
-    The op tables take O(q) field operations, q = p^n: add and neg work
-    digit by digit on the encoding, and mul and div read log/antilog
-    tables of the first primitive element g (the nonzero elements are
-    the cyclic group of powers of g), with row and column 0 set to 0.
+    ``_sweep_ops`` compute on log codes: g**l has code l for the first
+    primitive element g, and 0 has code Z = 2q.  mul adds logs and div
+    subtracts them, reduced mod q - 1 by ``wrap``, and add reads the Zech
+    logarithm L(d) = log(1 + g**d) off ``zech`` (Lidl and Niederreiter,
+    "Finite Fields", ch. 9); O(q) entries each, with those for 0 too.
     """
 
     def __init__(self, p: int, n: int):
@@ -576,31 +578,44 @@ class GaloisMeadow(FiniteMeadow):
             [(-self.modulus[0]) % p]
         )
 
-    def _build_tables(self):
+    @cached_property
+    def _sweep_ops(self) -> "ProgramOps":
         import numpy as np
 
-        p, q = self.p, self.size
-        add = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for d in range(self.n):
-            digit = np.arange(q, dtype=np.int64) // p ** d % p
-            add += (digit[:, None] + digit) % p * p ** d
-            neg += -digit % p * p ** d
-        for g in self.carrier[1:]:
-            powers, x = [self.one], g
-            while x != self.one:
-                powers.append(x)
-                x = self.mul(x, g)
-            if len(powers) == q - 1:
-                break
-        exp = np.array([self.index_of(x) for x in powers], dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        mul = exp[(log[:, None] + log) % (q - 1)]
-        div = exp[(log[:, None] - log) % (q - 1)]
-        for t in (mul, div):
-            t[0, :] = t[:, 0] = 0
-        return add, mul, neg, div
+        p, q, one = self.p, self.size, self.one
+
+        def power(a, e):
+            return one if e == 0 else self.mul(power(self.mul(a, a), e // 2),
+                                               a if e % 2 else one)
+        # the first primitive g: g**d != 1 for each proper divisor d of q - 1
+        g = next(h for h in map(self.element_at, range(1, q)) if all(
+            power(h, d) != one for d in range(1, q - 1) if (q - 1) % d == 0))
+        # times[i] numbers g times element i, digit by digit from those
+        # below p**d on, as g*(c*x**d + e) = c*(g*x**d) + g*e
+        places, c = [p ** d for d in range(self.n)], np.arange(p)[:, None]
+        times = np.zeros(1, int)
+        for s in places:
+            t = self.index_of(self.mul(g, self.element_at(s)))
+            times = sum((times // u + c * (t // u)) % p * u
+                        for u in places).ravel()
+        times = times.tolist()   # exp[l] numbers g**l
+        exp = np.fromiter(itertools.accumulate(
+            range(q - 2), lambda i, _: times[i], initial=1), int, q - 1)
+        zero, codes = 2 * q, np.arange(q - 1)
+        lift, lower = np.full(q, zero), np.zeros(zero + 1, int)
+        lift[exp], lower[:q - 1] = codes, exp
+        wrap, inv = np.full(2 * zero + 1, zero), np.full(zero + 1, zero)
+        wrap[:zero], inv[:q - 1] = np.arange(zero) % (q - 1), -codes % (q - 1)
+        # a negative d reads from the end: L(d + q - 1), or b - Z for a = 0
+        zech = np.zeros(2 * zero + 1, int)
+        zech[:q - 1] = lift[exp - exp % p + (exp + 1) % p]   # 1 + g**d
+        zech[zero + 1:zero + q] = codes - zero
+        zech[2 * zero + 3 - q:] = zech[1:q - 1]
+        return ProgramOps(
+            lift.__getitem__, lower.__getitem__, operator.eq,
+            lambda a, b: wrap[a + zech[b - a]], lambda a, b: wrap[a + b],
+            _itself if p == 2 else lambda a: wrap[a + (q - 1) // 2],
+            lambda a, b: wrap[a + inv[b]])
 
     def _pad(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         return tuple(list(coeffs)[: self.n] + [0] * (self.n - len(coeffs)))
@@ -684,16 +699,16 @@ def model_from_spec(spec: str) -> MeadowModel:
 
 # -- evaluation -------------------------------------------------------------
 
-def _evaluator(t: Term, lift, var, add, mul, neg, div, same=None):
-    """``fold``'s leaf and ops computing t: numeral n is lift(n), lifted
-    once per call, a variable v is var(v), inv(p) is 1/p, and a pair of
-    sides is same(lhs, rhs)."""
+def _evaluator(t: Term, lift, var, ops: ProgramOps, same=None):
+    """``fold``'s leaf and ops computing t with the four ops of ops:
+    numeral n is lift(n), lifted once per call, a variable v is var(v),
+    inv(p) is 1/p, and a pair of sides is same(lhs, rhs)."""
     consts = {n: lift(n) for cls, _, n in _plan(t)[0]
               if cls is None and n is not None}
     one = consts[1] if 1 in consts else lift(1)
     return (lambda node, n: var(node.name) if n is None else consts[n],
-            {Add: add, Mul: mul, Neg: neg, Div: div,
-             Inv: lambda a: div(one, a), _Pair: same})
+            {Add: ops.add, Mul: ops.mul, Neg: ops.neg, Div: ops.div,
+             Inv: lambda a: ops.div(one, a), _Pair: same})
 
 
 def eval_term(model: MeadowModel, t: Term,
@@ -710,11 +725,10 @@ def eval_term(model: MeadowModel, t: Term,
     ops = model._program_ops()
     return ops.lower(fold(t, *_evaluator(
         t, lambda n: ops.lift(model.of_int(n)),
-        lambda name: ops.lift(env[name]), ops.add, ops.mul, ops.neg, ops.div)))
+        lambda name: ops.lift(env[name]), ops)))
 
 
 MAX_CARRIER = 1 << 20        # a finite model takes O(q) time and memory
-MAX_TABLE_CARRIER = 2048     # three q x q int64 tables: 100 MB at q = 2048
 SWEEP_CHUNK = 1 << 16        # assignments a sweep holds in arrays at once
 SMALL_SWEEP = 64             # the most assignments a sweep folds pointwise
 MAX_ASSIGNMENTS = 1 << 30    # the most assignments an exhaustive check sweeps
@@ -728,8 +742,7 @@ def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
 
 def _sweep_size(model: FiniteMeadow, k: int) -> int:
     """Assignments an exhaustive check of k variables sweeps over model,
-    sweep_base**k; CarrierTooLargeError past MAX_ASSIGNMENTS or
-    MAX_TABLE_CARRIER."""
+    sweep_base**k; CarrierTooLargeError past MAX_ASSIGNMENTS."""
     q, b = model.size, model.sweep_base
     count = b ** k
     if count > MAX_ASSIGNMENTS:
@@ -740,20 +753,7 @@ def _sweep_size(model: FiniteMeadow, k: int) -> int:
             f"assignments, more than the {MAX_ASSIGNMENTS} that exhaustive "
             "checking sweeps: check by sampling instead "
             "(--strategy sampled --samples N)")
-    if q > MAX_TABLE_CARRIER:
-        raise CarrierTooLargeError(
-            f"{model.name} has {q} elements, more than the "
-            f"{MAX_TABLE_CARRIER} that exhaustive checking tabulates: "
-            "check by sampling instead (--strategy sampled --samples N)")
     return count
-
-
-def _op_tables(model: FiniteMeadow):
-    """Index tables (add, mul, neg, div) of a finite model, built once."""
-    tables = getattr(model, "_op_tables", None)
-    if tables is None:
-        tables = model._op_tables = model._build_tables()
-    return tables
 
 
 def _first_mismatch(model, sides, envs):
@@ -763,8 +763,7 @@ def _first_mismatch(model, sides, envs):
     ops = model._program_ops()
     evaluator = _evaluator(   # its leaf reads env, the assignment in turn
         sides, lambda n: ops.lift(model.of_int(n)),
-        lambda name: ops.lift(env[name]), ops.add, ops.mul, ops.neg, ops.div,
-        ops.same)
+        lambda name: ops.lift(env[name]), ops, ops.same)
     for i, env in enumerate(envs, 1):
         if not fold(sides, *evaluator):
             return i, env
@@ -772,7 +771,7 @@ def _first_mismatch(model, sides, envs):
 
 
 def _sweeps_pointwise(count: int) -> bool:
-    # importing numpy for the op tables costs more than a small sweep
+    # importing numpy for the sweep ops costs more than a small sweep
     return count <= SMALL_SWEEP and "numpy" not in sys.modules
 
 
@@ -780,35 +779,33 @@ def _check_exhaustive(model, sides, names):
     base, k = model.sweep_base, len(names)
     swept, count = _sweep_size(model, k), model.size ** k
     if _sweeps_pointwise(swept):
-        elements = model.carrier[:base]
         witness = _first_mismatch(model, sides, (
-            dict(zip(names, assigned))
-            for assigned in itertools.product(elements, repeat=k)))[1]
+            dict(zip(names, assigned)) for assigned in itertools.product(
+                map(model.element_at, range(base)), repeat=k)))[1]
         return CheckReport(VALID if witness is None else REFUTED, witness,
                            count)
-    add, mul, neg, div = _op_tables(model)
+    ops = model._sweep_ops
     import numpy as np
 
-    # A chunk fixes the leading variables to plain ints and sweeps the
+    # A chunk fixes the leading variables to single codes and sweeps the
     # trailing ones, as many as fit in SWEEP_CHUNK assignments.  Trailing
-    # variable j varies along axis j only and the table lookups broadcast,
+    # variable j varies along axis j only and the vector lookups broadcast,
     # so a subterm's array spans just the trailing variables it contains.
     width = 0
     while width < k and base ** (width + 1) <= SWEEP_CHUNK:
         width += 1
     lead, shape = k - width, (base,) * width
-    env = {name: np.arange(base).reshape(
-               (1,) * j + (base,) + (1,) * (width - j - 1))
+    env = {name: ops.lift(np.arange(base).reshape(
+               (1,) * j + (base,) + (1,) * (width - j - 1)))
            for j, name in enumerate(names[lead:])}
     evaluator = _evaluator(
-        sides, lambda n: model.index_of(model.of_int(n)), env.__getitem__,
-        lambda a, b: add[a, b], lambda a, b: mul[a, b], neg.__getitem__,
-        lambda a, b: div[a, b], operator.ne)
+        sides, lambda n: ops.lift(model.index_of(model.of_int(n))),
+        env.__getitem__, ops, operator.ne)
     # Chunks, and the assignments within a chunk, come in lexicographic
     # order with the first variable most significant, so the first
     # mismatch is the lexicographically least counterexample.
     for fixed in itertools.product(range(base), repeat=lead):
-        env.update(zip(names, fixed))
+        env.update(zip(names, map(ops.lift, fixed)))
         mismatch = np.broadcast_to(fold(sides, *evaluator), shape)
         if mismatch.any():
             rest = np.unravel_index(int(np.argmax(mismatch)), shape)

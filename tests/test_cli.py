@@ -112,6 +112,18 @@ class TestParse:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
+    @pytest.mark.parametrize("argv, stdin, out", [
+        # 200 001 characters, more than Linux takes in one argument
+        (["parse", "-"], "(" * 100_000 + "x" + ")" * 100_000 + "\n", "x\n"),
+        (["check", "-", "--model", "mk:6"], "x/y = x*(1/y)\n",
+         "Valid\nchecked 36 assignments exhaustively\n"),
+    ], ids=["parse", "check"])
+    def test_argument_read_from_stdin(self, argv, stdin, out):
+        proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
+                              input=stdin, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
     def test_json_of_deep_tree(self, capsys):
         # x^2000 is ((1*x)*x)*...*x; the tree nests 2000 levels deep.
         var = '{"name":"x","node":"var"}'
@@ -175,11 +187,8 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
-    def test_carrier_too_large_for_tables(self, capsys):
-        code, out, err = run_cli(capsys, "check", "x*x = x", "--model", "gf:2^12")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: gf:2^12 has 4096 elements")
-        assert "--samples" in err
+    def test_large_field_checks_by_sampling_too(self, capsys):
+        # exhaustively, see test_large_models_are_checked_exhaustively
         code, out, _ = run_cli(capsys, "check", "x*x = x", "--model", "gf:2^12",
                                "--strategy", "sampled", "--samples", "20")
         assert code == 1 and out.startswith("Refuted\n")
@@ -433,25 +442,59 @@ def test_huge_finite_model_is_domain_error(spec):
 
 
 @pytest.mark.parametrize("spec, size", [("mk:1048573", 1048573),
-                                        ("gf:2^20", 1048576)])
+                                        ("gf:2^20", 1048576),
+                                        ("gf:2^16", 65536)])
 def test_simplify_refuses_before_transforming(spec, size):
-    # the transform would build a power of about 2 * size factors
+    # the transform would build a power of 2 * size - 3 factors, more than
+    # the parser ever expands
     proc = subprocess.run(
         [sys.executable, "-m", "meadow", "simplify", "1/x", "--model", spec],
         capture_output=True, text=True, timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        f"error: {spec} has {size} elements, more than the 2048 that "
-        "exhaustive checking tabulates: check by sampling instead "
-        "(--strategy sampled --samples N)\n")
+        f"error: {spec} rewrites 1/x as x^{2 * size - 3}, a power above "
+        "the x^100000 that the parser expands\n")
+
+
+@pytest.mark.parametrize("equation, spec, code, out", [
+    ("x*x = x", "gf:2^12", 1, "Refuted\ncounterexample: x = a\n"),
+    ("x*x = x", "gf:2^16", 1, "Refuted\ncounterexample: x = a\n"),
+    ("x^61 = x", "mk:2310", 0,
+     "Valid\nchecked 2310 assignments exhaustively\n"),
+    ("x*x*x = x", "mk:2310", 1, "Refuted\ncounterexample: x = 2\n"),
+], ids=["gf:2^12", "gf:2^16", "mk:2310-valid", "mk:2310-refuted"])
+def test_large_models_are_checked_exhaustively(equation, spec, code, out):
+    # the sweep ops take O(q) memory, so only MAX_CARRIER bounds a model;
+    # mk:2310 sweeps the 11 residues below its largest prime
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadow", "check", equation, "--model", spec],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["eval", "((2^1000)^1000)^1000", "--model", "mk:7"], 0, "2\n"),
+    (["check", "((x^1000)^1000)^1000 = x", "--model", "mk:7"], 1,
+     "Refuted\ncounterexample: x = 3\n"),
+], ids=["eval", "check"])
+def test_text_output_prints_no_input_term(argv, code, out):
+    # the input's tree has 10^9 nodes, so its text would never finish;
+    # only --format json prints it
+    proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+@property
+def _no_sweep_ops(model):
+    raise AssertionError("sweep ops built")
 
 
 def test_oversized_sweep_is_domain_error(capsys, monkeypatch):
-    # refused by assignment count before the op tables are built
-    def no_tables(model):
-        raise AssertionError("op tables built")
-    monkeypatch.setattr(GaloisMeadow, "_build_tables", no_tables)
+    # refused by assignment count before the sweep ops are built
+    monkeypatch.setattr(GaloisMeadow, "_sweep_ops", _no_sweep_ops)
     code, out, err = run_cli(capsys, "check", "a+b+c+d+e+f+g = g+f+e+d+c+b+a",
                              "--model", "gf:2^8")
     assert (code, out) == (2, "")
@@ -467,10 +510,8 @@ def test_sweep_bound_counts_the_residues_swept(capsys, monkeypatch):
                              "--model", "mk:30")
     assert (code, out, err) == (
         0, f"Valid\nchecked {30 ** 7} assignments exhaustively\n", "")
-    # mk:2038 = 2 * 1019 sweeps 1019 ** 4, too many, before any table
-    def no_tables(model):
-        raise AssertionError("op tables built")
-    monkeypatch.setattr(ModularMeadow, "_build_tables", no_tables)
+    # mk:2038 = 2 * 1019 sweeps 1019 ** 4, too many, before any sweep ops
+    monkeypatch.setattr(ModularMeadow, "_sweep_ops", _no_sweep_ops)
     code, out, err = run_cli(capsys, "check", "a+b+c+d = d+c+b+a",
                              "--model", "mk:2038")
     assert (code, out) == (2, "")
@@ -482,7 +523,7 @@ def test_sweep_bound_counts_the_residues_swept(capsys, monkeypatch):
 
 
 # The README session's commands: none sweeps more than SMALL_SWEEP
-# assignments, so none builds an op table or imports numpy
+# assignments, so none builds sweep ops or imports numpy
 NUMPY_FREE_COMMANDS = [
     ["eval", "1 + 1/2", "--model", "q0"],
     ["eval", "x*x + x", "--model", "gf:2^2", "--assign", "x=a"],
@@ -515,14 +556,15 @@ for argv in {NUMPY_FREE_COMMANDS!r}:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         runs.append([meadow.cli.main(argv), out.getvalue(), err.getvalue()])
     assert "numpy" not in sys.modules, argv
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    code = meadow.cli.main(["check", "x*x = x", "--model", "gf:2^16"])
-assert code == 2 and err.getvalue().startswith(
-    "error: gf:2^16 has 65536 elements, more than the 2048"), err.getvalue()
-assert "numpy" not in sys.modules, "gf:2^16"
-# an over-bound sweep is refused before any table build
-meadow.models.GaloisMeadow._build_tables = None
+# mk:2310 sweeps the 11 residues below its largest prime, pointwise
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = meadow.cli.main(["check", "x^61 = x", "--model", "mk:2310"])
+assert code == 0 and out.getvalue() == (
+    "Valid\\nchecked 2310 assignments exhaustively\\n"), out.getvalue()
+assert "numpy" not in sys.modules, "mk:2310"
+# an over-bound sweep is refused before any sweep ops are built
+meadow.models.GaloisMeadow._sweep_ops = None
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
     code = meadow.cli.main(["check", "a+b+c = c+b+a", "--model", "gf:2^11"])
@@ -543,7 +585,7 @@ print(json.dumps(runs))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the pointwise sweeps there print what the table sweeps here print
+    # the pointwise sweeps there print what the numpy sweeps here print
     runs = json.loads(proc.stdout)
     for argv, run in zip(NUMPY_FREE_COMMANDS, runs):
         assert list(run_cli(capsys, *argv)) == run, argv

@@ -20,9 +20,7 @@ from meadow import (
     to_simple_fraction_finite, to_sum_of_simple_fractions, variables,
 )
 from meadow import models
-from meadow.models import (
-    MAX_TABLE_CARRIER, _PAIR_OPS, _WIDE, _first_irreducible, _op_tables,
-)
+from meadow.models import _PAIR_OPS, _WIDE, _first_irreducible
 from meadow.terms import fold
 
 from gen import random_term
@@ -180,7 +178,7 @@ class TestCrt:
         m30 = mk(30)
         assert m30.div(7, 11) == 7 * 11 % 30  # 11 is its own inverse mod 30
         assert "weak_inverse" not in vars(m30)
-        # 5 ** 3 assignments: above SMALL_SWEEP, so swept over the op tables
+        # 5 ** 3 assignments: above SMALL_SWEEP, so swept with the numpy ops
         assert models._sweep_size(m30, 3) == 5 ** 3 > models.SMALL_SWEEP
         assert check_eq(m30, parse("x*(1/y)*z"), parse("x*z/y")).verdict \
             == VALID
@@ -206,16 +204,24 @@ def _brute_force_tables(model):
     return table(model.add), table(model.mul), neg, table(model.div)
 
 
+def _sweep_tables(model):
+    """The op tables that the sweep ops give, all pairs at once."""
+    ops, i = model._sweep_ops, np.arange(model.size)
+    a, b = ops.lift(i[:, None]), ops.lift(i)
+    return (ops.lower(ops.add(a, b)), ops.lower(ops.mul(a, b)),
+            ops.lower(ops.neg(b)), ops.lower(ops.div(a, b)))
+
+
 class TestOpTables:
-    EXTRA = ("gf:2^3", "gf:2^5", "gf:3^3", "gf:5^2", "gf:7^2", "mk:210")
+    EXTRA = ("gf:2^1", "gf:13^1", "gf:2^3", "gf:2^5", "gf:3^3", "gf:5^2",
+             "gf:7^2", "mk:210")
 
     def test_match_element_operations(self, finite_models):
         models = finite_models + [model_from_spec(s) for s in self.EXTRA]
         for model in models:
-            for got, want in zip(_op_tables(model), _brute_force_tables(model)):
-                assert got.dtype == want.dtype == np.int64, model.name
+            for got, want in zip(_sweep_tables(model),
+                                 _brute_force_tables(model)):
                 assert got.shape == want.shape, model.name
-                assert got.flags.c_contiguous, model.name
                 assert np.array_equal(got, want), model.name
 
     def test_gf256_against_element_operations(self):
@@ -224,29 +230,36 @@ class TestOpTables:
         assert g.generator == (0, 1, 0, 0, 0, 0, 0, 0)
         assert g.carrier[:4] == [(0,) * 8, (1,) + (0,) * 7,
                                  (0, 1) + (0,) * 6, (1, 1) + (0,) * 6]
-        add, mul, neg, div = _op_tables(g)
-        assert [add.shape, mul.shape, neg.shape, div.shape] == [
-            (256, 256), (256, 256), (256,), (256, 256)]
-        at = g.element_at
-        assert all(at(int(neg[i])) == g.neg(at(i)) for i in range(256))
+        # one element at a time, as a chunk's leading variables are
+        ops, at = g._sweep_ops, g.element_at
+
+        def op(f, *indices):
+            return at(int(ops.lower(f(*map(ops.lift, indices)))))
+        assert all(op(ops.neg, i) == g.neg(at(i)) for i in range(256))
         rng = random.Random(8)
         for _ in range(5000):
             i, j = rng.randrange(256), rng.randrange(256)
             a, b = at(i), at(j)
-            assert at(int(add[i, j])) == g.add(a, b)
-            assert at(int(mul[i, j])) == g.mul(a, b)
-            assert at(int(div[i, j])) == g.div(a, b)
+            assert op(ops.add, i, j) == g.add(a, b)
+            assert op(ops.mul, i, j) == g.mul(a, b)
+            assert op(ops.div, i, j) == g.div(a, b)
 
     def test_carrier_bound(self):
+        # the sweep ops take O(q) memory, so a field of 4096 elements is
+        # swept; only MAX_CARRIER bounds a model
         big = gf(2, 12)
-        assert big.size == 4096 > MAX_TABLE_CARRIER
-        with pytest.raises(CarrierTooLargeError) as err:
-            check_eq(big, x, x, Exhaustive())
-        assert str(err.value).startswith("gf:2^12 has 4096 elements")
-        assert "--samples" in str(err.value)
-        assert not hasattr(big, "_op_tables")
-        report = check_eq(big, x * x, x, Sampled(50, 0))
-        assert report.verdict == REFUTED
+        tracemalloc.start()
+        try:
+            report = check_eq(big, x * x, x, Exhaustive())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == CheckReport(REFUTED, {"x": big.generator}, 4096)
+        assert peak < 4 << 20, peak
+        assert "carrier" not in vars(big)
+        assert check_eq(big, x * x, x, Sampled(50, 0)).verdict == REFUTED
+        with pytest.raises(CarrierTooLargeError):
+            gf(2, 21)
 
 
 def _first_irreducible_by_products(p, n):
@@ -542,16 +555,21 @@ def _full_grid_check(model, lhs, rhs):
     return REFUTED, {n: model.element_at(int(i)) for n, i in zip(names, at)}
 
 
+@property
 def _no_tables(model):
-    raise AssertionError(f"op tables of {model.name} built")
+    raise AssertionError(f"sweep ops of {model.name} built")
 
 
 class TestChunkedSweep:
     def test_matches_brute_force_on_every_finite_model(self, finite_models,
                                                        monkeypatch):
         rng = random.Random(2718)
-        for model in finite_models:
-            names = ("x", "y") if model.size > 9 else ("x", "y", "z")
+        for model in finite_models + [model_from_spec(s) for s in (
+                "gf:2^3", "gf:3^3", "gf:5^2", "gf:7^2", "mk:210")]:
+            # each division folds a power x^(2l - 1) pointwise, so the
+            # larger models take fewer variables
+            names = ("x", "y", "z")[:3 if model.size <= 9 else 2 if (
+                model.size * model.unit_exponent <= 120) else 1]
             terms = [random_term(rng, 4, names=names) for _ in range(12)]
             verdicts = []
             for lhs, other in zip(terms, terms[1:] + terms[:1]):
@@ -650,7 +668,7 @@ class TestChunkedSweep:
             (gf(2, 8), "(a + b)*c", "a*c + b*c"),
         ]:
             lhs, rhs = parse(lhs), parse(rhs)
-            _op_tables(model)
+            model._sweep_ops
             tracemalloc.start()
             try:
                 report = check_eq(model, lhs, rhs)
@@ -662,7 +680,7 @@ class TestChunkedSweep:
             assert peak < 16 << 20, (model.name, peak)
 
     def test_oversized_sweep_is_refused_before_tables(self, monkeypatch):
-        monkeypatch.setattr(models.GaloisMeadow, "_build_tables", _no_tables)
+        monkeypatch.setattr(models.GaloisMeadow, "_sweep_ops", _no_tables)
         g = gf(2, 8)
         lhs, rhs = parse("a+b+c+d+e+f+g"), parse("g+f+e+d+c+b+a")
         with pytest.raises(CarrierTooLargeError) as err:
@@ -672,7 +690,7 @@ class TestChunkedSweep:
             f"{256 ** 7} assignments, more than the {1 << 30} that "
             "exhaustive checking sweeps: check by sampling instead "
             "(--strategy sampled --samples N)")
-        assert not hasattr(g, "_op_tables")
+        assert "_sweep_ops" not in vars(g)
         assert check_eq(g, lhs, rhs, Sampled(20)).verdict == SAMPLED_OK
 
     def test_six_variables_over_mk30_are_within_the_bound(self, m30):
