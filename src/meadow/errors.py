@@ -77,7 +77,8 @@ class InfiniteExhaustiveError(MeadowError):
 
 
 class CarrierTooLargeError(MeadowError):
-    """A finite model, or a sweep or rewrite over it, would be too large."""
+    """A finite model, a sweep or rewrite over it, or a sampled check
+    would be too large."""
 
 
 class InfiniteCarrierError(MeadowError):

@@ -27,9 +27,13 @@ not loaded, a sweep of at most ``SMALL_SWEEP`` assignments folds them
 one by one, as sampling does, since importing numpy costs more.  Any
 other sweep is vectorized over the model's ``_sweep_ops``, numpy vectors
 of O(q) entries built (and numpy imported) on the first such sweep, in
-chunks of at most ``SWEEP_CHUNK`` assignments in lexicographic order.
+chunks of at most ``SWEEP_CHUNK`` assignments in lexicographic order; a
+variable with more values than that is swept in slices.  Over ``gf:p^n``
+the first variable takes only the least element of each orbit of
+x -> x**p, which keeps the least counterexample (``_first_values``).
 A sweep of more than ``MAX_ASSIGNMENTS`` is refused before either path
-runs.  Finite carriers above ``MAX_CARRIER`` are refused before anything
+runs, and a sampled check of more than ``MAX_SAMPLES`` draws before the
+first.  Finite carriers above ``MAX_CARRIER`` are refused before anything
 is built.  Reports are plain data and are reproducible: same model,
 equation, strategy and seed give the identical report.  Everything runs
 in one thread; determinism is part of the contract.
@@ -80,13 +84,18 @@ class Exhaustive(_Record):
 
 
 class Sampled(_Record):
-    """Check ``count`` seeded pseudo-random assignments."""
+    """Check ``count`` seeded pseudo-random assignments, at most
+    ``MAX_SAMPLES``."""
 
     __slots__ = ("count", "seed")
 
     def __init__(self, count: int = 10_000, seed: int = 0):
         if count < 1:
             raise ValueError(f"sample count must be at least 1, got {count}")
+        if count > MAX_SAMPLES:
+            raise CarrierTooLargeError(
+                f"{count} samples are more than the {MAX_SAMPLES} that a "
+                "sampled check draws")
         _setattr(self, "count", count)
         _setattr(self, "seed", seed)
 
@@ -151,6 +160,12 @@ class FiniteMeadow(MeadowModel):
 
     def random_element(self, rng: random.Random):
         return self.element_at(rng.randrange(self.size))
+
+    @property
+    def _first_values(self):
+        """The indices the first variable of a vectorized sweep takes."""
+        import numpy as np
+        return np.arange(self.sweep_base)
 
 
 def _not_an_element(model: MeadowModel, text: str) -> ValueError:
@@ -617,6 +632,19 @@ class GaloisMeadow(FiniteMeadow):
             _itself if p == 2 else lambda a: wrap[a + (q - 1) // 2],
             lambda a, b: wrap[a + inv[b]])
 
+    @cached_property
+    def _first_values(self):
+        # sigma(x) = x**p keeps 0, 1, +, * and 1/0 = 0, so the least
+        # counterexample's first entry is the least index of its orbit
+        import numpy as np
+        q, (lift, lower) = self.size, self._sweep_ops[:2]
+        index = least = np.arange(q)
+        codes = lift(index)
+        for _ in range(self.n - 1):   # sigma(g**l) = g**(l*p)
+            codes = np.where(codes < q - 1, codes * self.p % (q - 1), codes)
+            least = np.minimum(least, lower(codes))
+        return np.flatnonzero(least == index)
+
     def _pad(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         return tuple(list(coeffs)[: self.n] + [0] * (self.n - len(coeffs)))
 
@@ -732,6 +760,7 @@ MAX_CARRIER = 1 << 20        # a finite model takes O(q) time and memory
 SWEEP_CHUNK = 1 << 16        # assignments a sweep holds in arrays at once
 SMALL_SWEEP = 64             # the most assignments a sweep folds pointwise
 MAX_ASSIGNMENTS = 1 << 30    # the most assignments an exhaustive check sweeps
+MAX_SAMPLES = 1 << 20        # the most draws of a sampled check, about 5-9 s
 
 
 def _carrier_too_large(name: str, size) -> CarrierTooLargeError:
@@ -787,30 +816,36 @@ def _check_exhaustive(model, sides, names):
     ops = model._sweep_ops
     import numpy as np
 
-    # A chunk fixes the leading variables to single codes and sweeps the
-    # trailing ones, as many as fit in SWEEP_CHUNK assignments.  Trailing
-    # variable j varies along axis j only and the vector lookups broadcast,
-    # so a subterm's array spans just the trailing variables it contains.
-    width = 0
-    while width < k and base ** (width + 1) <= SWEEP_CHUNK:
-        width += 1
-    lead, shape = k - width, (base,) * width
-    env = {name: ops.lift(np.arange(base).reshape(
-               (1,) * j + (base,) + (1,) * (width - j - 1)))
-           for j, name in enumerate(names[lead:])}
+    # The first variable takes model._first_values, the others the values
+    # below base.  A chunk fixes the leading variables to one value each
+    # and sweeps the trailing ones that fit in SWEEP_CHUNK assignments, or
+    # else a slice of SWEEP_CHUNK values of the last.  A piece is such
+    # values with their lifts along axis j, for variable j: the lookups
+    # broadcast, so a subterm's array spans just the variables it contains.
+    ranges = [model._first_values, *[np.arange(base)] * (k - 1)][:k]
+    lead = max(k - 1, 0)
+    while lead and math.prod(map(len, ranges[lead - 1:])) <= SWEEP_CHUNK:
+        lead -= 1
+    pieces = [[(r[i:i + step], ops.lift(r[i:i + step].reshape(
+                   (1,) * j + (-1,) + (1,) * (k - j - 1))))
+               for i in range(0, len(r), step)]
+              for j, r in enumerate(ranges)
+              for step in [1 if j < lead else SWEEP_CHUNK]]
+    env: dict[str, Any] = {}
     evaluator = _evaluator(
         sides, lambda n: ops.lift(model.index_of(model.of_int(n))),
         env.__getitem__, ops, operator.ne)
     # Chunks, and the assignments within a chunk, come in lexicographic
     # order with the first variable most significant, so the first
-    # mismatch is the lexicographically least counterexample.
-    for fixed in itertools.product(range(base), repeat=lead):
-        env.update(zip(names, map(ops.lift, fixed)))
+    # mismatch is the least counterexample among the values swept.
+    for chunk in itertools.product(*pieces):
+        env.update(zip(names, (lifted for _, lifted in chunk)))
+        shape = tuple(len(part) for part, _ in chunk)
         mismatch = np.broadcast_to(fold(sides, *evaluator), shape)
         if mismatch.any():
-            rest = np.unravel_index(int(np.argmax(mismatch)), shape)
-            witness = {name: model.element_at(int(i))
-                       for name, i in zip(names, fixed + rest)}
+            at = np.unravel_index(int(np.argmax(mismatch)), shape)
+            witness = {name: model.element_at(int(part[i]))
+                       for name, (part, _), i in zip(names, chunk, at)}
             return CheckReport(REFUTED, witness, count)
     return CheckReport(VALID, None, count)
 

@@ -319,8 +319,9 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     folds, in field order.  Numerals are found in linear time.
     Structurally equal subterms are folded once, equal leaves as the
     first of them, and each folded value is dropped after its last use.
-    Folds of the same object back to back walk it once: the last term
-    planned and its plan stay alive until another term is planned.
+    Folds of the same object back to back walk it once, and a check that
+    pairs it right after with another term walks only that one: the last
+    term planned and its plan stay alive until another term is planned.
     """
     plan, last, _ = _plan(t)
     values: list[Any] = [None] * len(plan)
@@ -337,9 +338,9 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     return values[-1]
 
 
-# The last term planned, its plan, last-use table and keys; no term is the
-# sentinel.
-_slot: tuple[Any, list, dict, dict] = (object(), [], {}, {})
+# The last term planned, its plan, last-use table, keys and each node id's
+# position; no term is the sentinel.
+_slot: tuple[Any, list, dict, dict, dict] = (object(), [], {}, {}, {})
 
 
 def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
@@ -347,7 +348,9 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
     """Each structurally distinct node of t once, children first, as
     (None, node, n) or (class, a, b), a and b being the children's
     positions, each position's last parent, and each node's key with its
-    position; the plan of the term planned last is reused.
+    position; the plan of the term planned last is reused.  A pair whose
+    left side was planned last extends copies of that plan, which is the
+    prefix of its own, and walks only its right side.
 
     A key is a variable name, the integer of a numeral, ``One`` for the
     constant 1, or (class, a, b) for an operation.  Keys are not terms,
@@ -357,7 +360,7 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
     global _slot
     slot = _slot
     if slot[0] is t:
-        return slot[1:]
+        return slot[1:4]
     # A stack entry's flag is the node's children once they are planned;
     # before, True marks a p + 1 step whose + 1 chain does not start at 0.
     plan: list[tuple[Any, Any, Any]] = []
@@ -365,6 +368,9 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
     index: dict[Any, int] = {}          # key -> position
     last: dict[int | None, int] = {}    # position -> its last parent's
     stack: list[tuple[Term, Any]] = [(t, False)]
+    if t.__class__ is _Pair and t.left is slot[0]:
+        plan, last, index, where = (x.copy() for x in slot[1:])
+        stack = [(t, (t.left, t.right)), (t.right, False)]
     while stack:
         node, flag = stack.pop()
         cls = node.__class__
@@ -404,7 +410,7 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
             plan.append(entry)
             if entry[0] is not None:
                 last[a] = last[b] = i
-    _slot = t, plan, last, index
+    _slot = t, plan, last, index, where
     return plan, last, index
 
 

@@ -474,6 +474,18 @@ def test_large_models_are_checked_exhaustively(equation, spec, code, out):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
+def test_sample_count_above_the_bound_is_refused_at_once():
+    # 10^9 draws would take hours; the refusal comes before the first
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadow", "check", "x = x",
+         "--samples", "1000000000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: 1000000000 samples are more than the 1048576 that "
+        "a sampled check draws\n")
+
+
 @pytest.mark.parametrize("argv, code, out", [
     (["eval", "((2^1000)^1000)^1000", "--model", "mk:7"], 0, "2\n"),
     (["check", "((x^1000)^1000)^1000 = x", "--model", "mk:7"], 1,

@@ -503,6 +503,13 @@ class TestCheckEq:
         with pytest.raises(ValueError):
             Sampled(count)
 
+    def test_sampled_refuses_counts_above_the_bound(self):
+        assert Sampled(models.MAX_SAMPLES).count == models.MAX_SAMPLES
+        with pytest.raises(CarrierTooLargeError, match=(
+                f"{models.MAX_SAMPLES + 1} samples are more than the "
+                f"{models.MAX_SAMPLES} that a sampled check draws")):
+            Sampled(models.MAX_SAMPLES + 1)
+
     def test_equal_subterms_are_evaluated_once(self):
         calls = []
 
@@ -641,6 +648,83 @@ class TestChunkedSweep:
             report = check_eq(m30, lhs, rhs)
             assert report == CheckReport(VALID, None, 30 ** 3)
             assert sum(folded) == 5 ** 3, pointwise
+
+    def test_three_variables_over_gf256_fold_one_value_per_orbit(
+            self, monkeypatch):
+        # the first variable takes the least element of each of the 36
+        # orbits of x -> x^2; the other two fill one chunk
+        lhs, rhs = parse("(x + y)*z"), parse("x*z + y*z")
+        folded = []
+
+        def counting_fold(t, leaf, ops):
+            value = fold(t, leaf, ops)
+            folded.append(np.size(value))
+            return value
+        monkeypatch.setattr(models, "fold", counting_fold)
+        report = check_eq(gf(2, 8), lhs, rhs)
+        assert report == CheckReport(VALID, None, 256 ** 3)
+        assert folded == [256 ** 2] * 36
+
+    def test_carrier_wider_than_a_chunk_is_swept_in_slices(self,
+                                                           monkeypatch):
+        # mk:65537 is a field, so 1/(x + 1) is a true inverse except at
+        # x = -1 = 65536, the first value of the second slice
+        model, folded = mk(65537), []
+
+        def counting_fold(t, leaf, ops):
+            value = fold(t, leaf, ops)
+            folded.append(np.size(value))
+            return value
+        monkeypatch.setattr(models, "fold", counting_fold)
+        assert models.SWEEP_CHUNK < model.size
+        assert check_eq(model, parse("1/(1/x)"), x) == CheckReport(
+            VALID, None, 65537)
+        assert folded == [models.SWEEP_CHUNK, 1]
+        folded.clear()
+        assert check_eq(model, parse("(x + 1)/(x + 1)"), ONE) == CheckReport(
+            REFUTED, {"x": 65536}, 65537)
+        assert folded == [models.SWEEP_CHUNK, 1]
+
+    @pytest.mark.parametrize("p, n", [(2, 4), (3, 2)])
+    def test_frobenius_orbits_keep_the_least_counterexample(self, p, n,
+                                                            monkeypatch):
+        # m_O(x) = prod over a in O of (x - a) vanishes exactly on O, and
+        # its coefficients lie in the prime field, so they are numerals
+        model = gf(p, n)
+        orbits = {}
+        for a in model.carrier:
+            orbit, b = [], a
+            while b not in orbit:
+                orbit.append(b)
+                b = eval_term(model, power(x, p), {"x": b})
+            orbits[frozenset(orbit)] = None
+        assert sum(map(len, orbits)) == model.size
+        numerals = {model.of_int(c): c for c in range(p)}
+        for orbit in orbits:
+            coeffs = [model.one]             # low to high
+            for a in orbit:
+                shifted = [model.zero] + coeffs
+                coeffs = [model.add(s, model.mul(model.neg(a), c))
+                          for s, c in zip(shifted, coeffs + [model.zero])]
+
+            def m_o(name):
+                return parse(" + ".join(f"{numerals[c]}*{name}^{i}"
+                                        for i, c in enumerate(coeffs)))
+            least = min(orbit, key=model.index_of)
+            mx = m_o("x")
+            refuted = {a for a in model.carrier
+                       if eval_term(model, mx / mx, {"x": a}) != model.one}
+            assert refuted == orbit
+            my = m_o("y")
+            for lhs, rhs, witness in [
+                    (mx / mx, ONE, {"x": least}),
+                    (my / my + x, ONE + x, {"x": model.zero, "y": least})]:
+                for pointwise in (True, False):
+                    monkeypatch.setattr(models, "_sweeps_pointwise",
+                                        lambda _: pointwise)
+                    assert check_eq(model, lhs, rhs) == CheckReport(
+                        REFUTED, witness, model.size ** len(witness)), \
+                        (model.name, orbit, pointwise)
 
     @pytest.mark.parametrize("lhs, rhs, witness", [
         ("a + b + c + d", "b + c + d", {"a": 1, "b": 0, "c": 0, "d": 0}),

@@ -369,6 +369,42 @@ class TestPlanReuse:
         assert nested == (5 + 5) + (5 - 5)
         assert _count(t) == 8
 
+    def test_pair_extends_the_plan_of_its_left_side(self):
+        rng = random.Random(1618)
+        lefts = [mk_numeral(3), Neg(mk_numeral(2)), ONE, ZERO, parse("x"),
+                 parse("(x + 1) + 1"), *(random_term(rng, 5) for _ in range(60))]
+        for i, left in enumerate(lefts):
+            other = random_term(rng, 5)
+            for right in (other, Add(other, left), left, Mul(left, left)):
+                pair = terms._Pair(left, right)
+                is_closed(Var("w"))             # plans another term
+                fresh = terms._plan(pair)
+                alone = terms._plan(left)
+                before = [list(alone[0]), dict(alone[1]), dict(alone[2])]
+                seeded = terms._plan(pair)
+                # plan, last-use table and keys, and the same leaf objects;
+                # the left side's own plan is left as it was
+                assert seeded == fresh, (left, right)
+                assert list(alone) == before
+                assert all(a[1] is b[1] for a, b in zip(seeded[0], fresh[0])
+                           if a[0] is None)
+
+    def test_pair_walks_only_its_right_side(self, monkeypatch):
+        left = Var("x")
+        for _ in range(100_000):
+            left = Add(left, Var("y"))
+        right = parse("x*y + 1")
+        _count(left)
+        walked = []
+        monkeypatch.setattr(terms, "_CHILDREN", {
+            cls: lambda node, get=get: walked.append(node) or get(node)
+            for cls, get in terms._CHILDREN.items()})
+        pair = terms._Pair(left, right)
+        plan = terms._plan(pair)[0]
+        assert len(walked) == 2
+        assert walked[0] is right and walked[1] is right.left
+        assert plan[-1] == (terms._Pair, 100_001, len(plan) - 2)
+
     def test_cold_and_warm_plans_give_the_same_results(self, corpus):
         models = [q0(), mk(6), gf(2, 2)]
 
