@@ -13,24 +13,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CarrierTooLargeError, MeadowError
+from .errors import MeadowError
 from .models import (
-    Exhaustive, Sampled, REFUTED, VALID, _sweep_size,
+    Exhaustive, Sampled, REFUTED, SAMPLED_OK, VALID,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
 )
 from .normal_forms import render_basic, render_quotient, to_basic
 from .polynomials import to_canonical
 from .syntax import parse as parse_term
-from .syntax import _MAX_LITERAL, print_term, term_to_data
-from .terms import Term, Var, ZERO, mk_numeral, substitute, variables
+from .syntax import print_term, term_to_data
+from .terms import Term, ZERO, mk_numeral, substitute
 from .transforms import (
     claim_sides, closed_to_simple_fraction_q0, falsify_simple_fraction_claim,
     find_annihilating_exponents, to_simple_fraction_finite,
     to_sum_of_simple_fractions,
 )
 
-_VERDICT_WORDS = {"valid": "Valid", "refuted": "Refuted",
-                  "sampled_ok": "SampledOk"}
+_VERDICT_WORDS = {VALID: "Valid", REFUTED: "Refuted", SAMPLED_OK: "SampledOk"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def common(p, handler, model=True):
+        p.set_defaults(handler=handler)
         if model:
             p.add_argument("--model", default="q0",
                            help="q0, mk:<k>, or gf:<p>^<n> (default q0)")
@@ -51,13 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
     p.add_argument("--signature", choices=("divisive", "inversive"),
                    default="divisive")
-    common(p, model=False)
+    common(p, _cmd_parse, model=False)
 
     p = sub.add_parser("eval", help="evaluate a term in a model")
     p.add_argument("term")
     p.add_argument("--assign", action="append", default=[],
                    metavar="NAME=VALUE", help="variable binding; repeatable")
-    common(p)
+    common(p, _cmd_eval)
 
     p = sub.add_parser("normalize", help="basic form or canonical polynomial")
     p.add_argument("term")
@@ -66,35 +66,34 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sum of signed numeral fractions (default)")
     group.add_argument("--canonical", metavar="VAR",
                        help="canonical polynomial in VAR")
-    common(p, model=False)
+    common(p, _cmd_normalize, model=False)
 
     p = sub.add_parser("check", help="check an equation LHS = RHS in a model")
     p.add_argument("equation")
     p.add_argument("--strategy", choices=("exhaustive", "sampled"))
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, _cmd_check)
 
     p = sub.add_parser("simplify", help="fraction transforms")
     p.add_argument("term")
     p.add_argument("--target",
                    choices=("simple-fraction", "sum-of-fractions"),
                    default="simple-fraction")
-    common(p)
+    common(p, _cmd_simplify)
 
     p = sub.add_parser("falsify",
                        help="rational witness against 1 + 1/x = F/G")
     p.add_argument("f", help="numerator polynomial in x")
     p.add_argument("g", help="denominator polynomial in x")
-    common(p, model=False)
+    common(p, _cmd_falsify, model=False)
 
     p = sub.add_parser("char", help="characteristic of a model")
-    common(p)
+    common(p, _cmd_char)
 
     p = sub.add_parser("demo", help="scripted end-to-end scenarios")
-    p.add_argument("name", choices=("omega", "separation", "finite-simple",
-                                    "sum-of-fractions", "falsify-q0"))
-    common(p, model=False)
+    p.add_argument("name", choices=_DEMOS)
+    common(p, _cmd_demo, model=False)
 
     return top
 
@@ -165,9 +164,9 @@ def _report_payload(model, report) -> dict:
 
 def _report_lines(model, report) -> list[str]:
     lines = [_VERDICT_WORDS[report.verdict]]
-    if report.verdict == "valid":
+    if report.verdict == VALID:
         lines.append(f"checked {report.evaluations} assignments exhaustively")
-    elif report.verdict == "sampled_ok":
+    elif report.verdict == SAMPLED_OK:
         lines.append(f"{report.evaluations} samples, seed {report.seed}")
     ce = _report_payload(model, report)["counterexample"]
     if ce is not None:
@@ -179,8 +178,10 @@ def _report_lines(model, report) -> list[str]:
 def _cmd_parse(args) -> int:
     t = parse_term(args.term, args.signature)
     printed = print_term(t)
+    # the tree is built only for JSON, the one output that shows it
+    tree = term_to_data(t) if args.format == "json" else None
     _emit(args, {"command": "parse", "input": args.term, "term": printed,
-                 "tree": term_to_data(t)}, [printed])
+                 "tree": tree}, [printed])
     return 0
 
 
@@ -247,11 +248,6 @@ def _cmd_simplify(args) -> int:
               [printed, f"summands: {len(s)}"])
         return 0
     if model.is_finite:
-        _sweep_size(model, len(variables(t)))  # refuse before transforming
-        if (e := 2 * model.unit_exponent - 1) > _MAX_LITERAL:
-            raise CarrierTooLargeError(
-                f"{model.name} rewrites 1/x as x^{e}, a power above the "
-                f"x^{_MAX_LITERAL} that the parser expands")
         out = to_simple_fraction_finite(model, t)
         report = check_eq(model, t, out)
         printed = print_term(out)
@@ -296,9 +292,9 @@ def _cmd_char(args) -> int:
     return 0
 
 
-def _demo_omega(out):
+def _demo_omega(line, data):
     term = parse_term("(1 - 2/2)*(x*x - x)")
-    out.line(f"term: {print_term(term)}")
+    line(f"term: {print_term(term)}")
     models = [q0(), mk(2), mk(6)]
     ks = range(-20, 21)
     for model in models:
@@ -307,71 +303,70 @@ def _demo_omega(out):
             == model.zero
             for k in ks
         )
-        out.line(f"{model.name}: all {len(ks)} closed instances "
-                 f"x := k, |k| <= 20 evaluate to 0: {ok}")
-        out.data.setdefault("closed_instances", {})[model.name] = ok
+        line(f"{model.name}: all {len(ks)} closed instances "
+             f"x := k, |k| <= 20 evaluate to 0: {ok}")
+        data.setdefault("closed_instances", {})[model.name] = ok
     g4 = gf(2, 2)
     report = check_eq(g4, term, ZERO)
     ce = _report_payload(g4, report)["counterexample"]
-    out.line(f"{g4.name}: {_VERDICT_WORDS[report.verdict]} with "
-             f"counterexample "
-             + ", ".join(f"{k} = {v}" for k, v in ce.items()))
-    out.data["gf_verdict"] = report.verdict
-    out.data["gf_counterexample"] = ce
+    line(f"{g4.name}: {_VERDICT_WORDS[report.verdict]} with counterexample "
+         + ", ".join(f"{k} = {v}" for k, v in ce.items()))
+    data["gf_verdict"] = report.verdict
+    data["gf_counterexample"] = ce
 
 
-def _demo_separation(out):
+def _demo_separation(line, data):
     term = parse_term("1 + 1/2")
     rationals, two = q0(), mk(2)
     v_q = eval_term(rationals, term)
     v_2 = eval_term(two, term)
-    out.line(f"term: {print_term(term)}")
-    out.line(f"q0 value: {rationals.format_element(v_q)}")
-    out.line(f"mk:2 value: {two.format_element(v_2)}")
-    out.line("no single closed fraction evaluates to both")
-    out.data["q0_value"] = rationals.format_element(v_q)
-    out.data["mk2_value"] = two.format_element(v_2)
+    line(f"term: {print_term(term)}")
+    line(f"q0 value: {rationals.format_element(v_q)}")
+    line(f"mk:2 value: {two.format_element(v_2)}")
+    line("no single closed fraction evaluates to both")
+    data["q0_value"] = rationals.format_element(v_q)
+    data["mk2_value"] = two.format_element(v_2)
 
 
-def _demo_finite_simple(out):
+def _demo_finite_simple(line, data):
     model = mk(6)
     pair = find_annihilating_exponents(model)
     e = 2 * (pair.n - pair.m) - 1
-    out.line(f"model: {model.name}")
-    out.line(f"least exponents with x^n = x^m: (n, m) = ({pair.n}, {pair.m})")
-    out.line(f"reciprocal exponent: 2(n - m) - 1 = {e}")
+    line(f"model: {model.name}")
+    line(f"least exponents with x^n = x^m: (n, m) = ({pair.n}, {pair.m})")
+    line(f"reciprocal exponent: 2(n - m) - 1 = {e}")
     identity = check_eq(model, parse_term("1/x"), parse_term(f"x^{e}"))
-    out.line(f"1/x = x^{e}: {_VERDICT_WORDS[identity.verdict]} "
-             f"({identity.evaluations} assignments)")
+    line(f"1/x = x^{e}: {_VERDICT_WORDS[identity.verdict]} "
+         f"({identity.evaluations} assignments)")
     example = parse_term("1 + 1/x")
     simple = to_simple_fraction_finite(model, example)
     report = check_eq(model, example, simple)
-    out.line(f"{print_term(example)}  ->  {print_term(simple)}  "
-             f"[{_VERDICT_WORDS[report.verdict]}]")
-    out.data.update({"n": pair.n, "m": pair.m, "exponent": e,
-                     "identity_verdict": identity.verdict,
-                     "example": print_term(simple),
-                     "example_verdict": report.verdict})
+    line(f"{print_term(example)}  ->  {print_term(simple)}  "
+         f"[{_VERDICT_WORDS[report.verdict]}]")
+    data.update({"n": pair.n, "m": pair.m, "exponent": e,
+                 "identity_verdict": identity.verdict,
+                 "example": print_term(simple),
+                 "example_verdict": report.verdict})
 
 
-def _demo_sum_of_fractions(out):
+def _demo_sum_of_fractions(line, data):
     single = parse_term("1/(1/x)")
     s1 = to_sum_of_simple_fractions(single)
-    out.line(f"{print_term(single)}  ->  {print_term(s1.to_term())}")
+    line(f"{print_term(single)}  ->  {print_term(s1.to_term())}")
     double = parse_term("1/(1/x + 1/y)")
     s2 = to_sum_of_simple_fractions(double)
-    out.line(f"{print_term(double)}  ->  {len(s2)} summands:")
+    line(f"{print_term(double)}  ->  {len(s2)} summands:")
     for num, den in s2:
-        out.line(f"  ({print_term(num.to_term())}) / "
-                 f"({print_term(den.to_term())})")
+        line(f"  ({print_term(num.to_term())}) / "
+             f"({print_term(den.to_term())})")
     six = mk(6)
     finite = check_eq(six, double, s2.to_term())
     sampled = check_eq(q0(), double, s2.to_term(), Sampled(1000, 0))
-    out.line(f"mk:6 exhaustive: {_VERDICT_WORDS[finite.verdict]} "
-             f"({finite.evaluations} assignments)")
-    out.line(f"q0 sampled: {_VERDICT_WORDS[sampled.verdict]} "
-             f"({sampled.evaluations} samples, seed {sampled.seed})")
-    out.data.update({
+    line(f"mk:6 exhaustive: {_VERDICT_WORDS[finite.verdict]} "
+         f"({finite.evaluations} assignments)")
+    line(f"q0 sampled: {_VERDICT_WORDS[sampled.verdict]} "
+         f"({sampled.evaluations} samples, seed {sampled.seed})")
+    data.update({
         "single": print_term(s1.to_term()),
         "double_summands": [[print_term(n.to_term()), print_term(d.to_term())]
                             for n, d in s2],
@@ -380,25 +375,16 @@ def _demo_sum_of_fractions(out):
     })
 
 
-def _demo_falsify_q0(out):
+def _demo_falsify_q0(line, data):
     f = to_canonical(parse_term("1"), "x")
     g = to_canonical(parse_term("1"), "x")
     witness = falsify_simple_fraction_claim(f, g)
     lhs_val, rhs_val = claim_sides(f, g, witness)
-    out.line("claim: 1 + 1/x = 1/1 over the rationals")
-    out.line(f"constructed witness: x = {witness}")
-    out.line(f"left side: {lhs_val}; right side: {rhs_val}")
-    out.data.update({"witness": str(witness), "lhs_value": str(lhs_val),
-                     "rhs_value": str(rhs_val)})
-
-
-class _DemoReport:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.data: dict = {}
-
-    def line(self, text: str):
-        self.lines.append(text)
+    line("claim: 1 + 1/x = 1/1 over the rationals")
+    line(f"constructed witness: x = {witness}")
+    line(f"left side: {lhs_val}; right side: {rhs_val}")
+    data.update({"witness": str(witness), "lhs_value": str(lhs_val),
+                 "rhs_value": str(rhs_val)})
 
 
 _DEMOS = {
@@ -411,22 +397,10 @@ _DEMOS = {
 
 
 def _cmd_demo(args) -> int:
-    out = _DemoReport()
-    _DEMOS[args.name](out)
-    _emit(args, {"command": "demo", "name": args.name, **out.data}, out.lines)
+    lines, data = [], {}
+    _DEMOS[args.name](lines.append, data)
+    _emit(args, {"command": "demo", "name": args.name, **data}, lines)
     return 0
-
-
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "eval": _cmd_eval,
-    "normalize": _cmd_normalize,
-    "check": _cmd_check,
-    "simplify": _cmd_simplify,
-    "falsify": _cmd_falsify,
-    "char": _cmd_char,
-    "demo": _cmd_demo,
-}
 
 
 def main(argv=None) -> int:
@@ -440,7 +414,7 @@ def main(argv=None) -> int:
         for name in ("term", "equation", "f", "g"):
             if getattr(args, name, None) == "-":
                 setattr(args, name, sys.stdin.read())
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (MeadowError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -188,38 +188,50 @@ _LEVEL_MUL = 2
 _LEVEL_NEG = 3
 _LEVEL_ATOM = 4
 
-# A rendered subterm is (level, text, negated), the text for _join;
-# negated renders the argument of a unary minus.
+# A rendered subterm is (level, text, negated, size): the text for
+# _join, the rendering of a unary minus's argument, and the length of
+# the text, which _join checks before it expands anything.
+
+# The most characters print_term spells out.  A term's text grows with
+# its tree, which sharing makes exponential in its distinct nodes.
+_MAX_PRINTED = 1 << 24
 
 
 def _fmt(r, min_level: int):
     return r[1] if r[0] >= min_level else ("(", r[1], ")")
 
 
+def _width(r, min_level: int) -> int:
+    return r[3] if r[0] >= min_level else r[3] + 2
+
+
 def _neg(r):
-    return _LEVEL_NEG, ("-", _fmt(r, _LEVEL_NEG)), r
+    return _LEVEL_NEG, ("-", _fmt(r, _LEVEL_NEG)), r, 1 + _width(r, _LEVEL_NEG)
 
 
 def _render_leaf(node, n):
     # a literal is spelled when parsing the spelling rebuilds the node
     if n is None:
-        return _LEVEL_ATOM, node.name, None
+        return _LEVEL_ATOM, node.name, None, len(node.name)
     if abs(n) == 1 and not isinstance(node, One):  # the numeral 0 + 1
-        r = _LEVEL_ADD, "0 + 1", None
+        r = _LEVEL_ADD, "0 + 1", None, 5
     else:
-        r = _LEVEL_ATOM, str(abs(n)), None
+        digits = str(abs(n))
+        r = _LEVEL_ATOM, digits, None, len(digits)
     return _neg(r) if n < 0 else r
 
 
 def _add(left, right):
     sign, right = (" + ", right) if right[2] is None else (" - ", right[2])
     return _LEVEL_ADD, (_fmt(left, _LEVEL_ADD), sign,
-                        _fmt(right, _LEVEL_MUL)), None
+                        _fmt(right, _LEVEL_MUL)), None, (
+        _width(left, _LEVEL_ADD) + 3 + _width(right, _LEVEL_MUL))
 
 
 def _product(sign):
     return lambda left, right: (_LEVEL_MUL, (
-        _fmt(left, _LEVEL_MUL), sign, _fmt(right, _LEVEL_NEG)), None)
+        _fmt(left, _LEVEL_MUL), sign, _fmt(right, _LEVEL_NEG)), None,
+        _width(left, _LEVEL_MUL) + 1 + _width(right, _LEVEL_NEG))
 
 
 _RENDER = {
@@ -227,12 +239,16 @@ _RENDER = {
     Mul: _product("*"),
     Div: _product("/"),
     Neg: _neg,
-    Inv: lambda arg: (_LEVEL_ATOM, ("inv(", arg[1], ")"), None),
+    Inv: lambda arg: (_LEVEL_ATOM, ("inv(", arg[1], ")"), None, arg[3] + 5),
 }
 
 
 def _join(r) -> str:
-    """The text of a rendered subterm."""
+    """The text of a rendered subterm; ValueError, as for an int past
+    CPython's digit limit, when it is longer than _MAX_PRINTED."""
+    if r[3] > _MAX_PRINTED:
+        raise ValueError(f"the term's text has {r[3]} characters, more "
+                         f"than the {_MAX_PRINTED} that printing spells out")
     out, stack = [], [r[1]]
     while stack:
         text = stack.pop()
@@ -248,7 +264,9 @@ def print_term(t: Term) -> str:
 
     Round-trips: parse(print_term(t)) is structurally equal to t, with
     numeral subtrees re-sugared to integer literals.  No parenthesis pair
-    in the output can be dropped without changing the parse.
+    in the output can be dropped without changing the parse.  A text
+    longer than _MAX_PRINTED is refused with ValueError before any of
+    it is built.
     """
     return _join(fold(t, _render_leaf, _RENDER))
 

@@ -338,9 +338,9 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     return values[-1]
 
 
-# The last term planned, its plan, last-use table, keys and each node id's
-# position; no term is the sentinel.
-_slot: tuple[Any, list, dict, dict, dict] = (object(), [], {}, {}, {})
+# The last term planned, its plan, last-use table and keys; no term is
+# the sentinel.
+_slot: tuple[Any, list, dict, dict] = (object(), [], {}, {})
 
 
 def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
@@ -350,7 +350,8 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
     positions, each position's last parent, and each node's key with its
     position; the plan of the term planned last is reused.  A pair whose
     left side was planned last extends copies of that plan, which is the
-    prefix of its own, and walks only its right side.
+    prefix of its own, and walks only its right side, whose nodes shared
+    with the left side below its root are found by their keys.
 
     A key is a variable name, the integer of a numeral, ``One`` for the
     constant 1, or (class, a, b) for an operation.  Keys are not terms,
@@ -369,7 +370,8 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
     last: dict[int | None, int] = {}    # position -> its last parent's
     stack: list[tuple[Term, Any]] = [(t, False)]
     if t.__class__ is _Pair and t.left is slot[0]:
-        plan, last, index, where = (x.copy() for x in slot[1:])
+        plan, last, index = (x.copy() for x in slot[1:])
+        where[id(t.left)] = len(plan) - 1
         stack = [(t, (t.left, t.right)), (t.right, False)]
     while stack:
         node, flag = stack.pop()
@@ -410,7 +412,7 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
             plan.append(entry)
             if entry[0] is not None:
                 last[a] = last[b] = i
-    _slot = t, plan, last, index, where
+    _slot = t, plan, last, index
     return plan, last, index
 
 

@@ -27,12 +27,13 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    InfiniteCarrierError, MixedSignatureError, NoWitnessConstructedError,
-    OpenTermError,
+    CarrierTooLargeError, InfiniteCarrierError, MixedSignatureError,
+    NoWitnessConstructedError, OpenTermError,
 )
 from .models import eval_term, q0
 from .normal_forms import product, split_reciprocal, to_basic
 from .polynomials import MultiPoly, _poly_term
+from .syntax import _MAX_LITERAL
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record, _setattr,
     contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
@@ -144,7 +145,9 @@ def eliminate_division(model, t: Term) -> Term:
     Innermost first, each p/q becomes p * q**e with e = 2(n-m)-1 from
     the model's exponent pair; e = 1 drops the power wrapper, and a
     dividend of exactly 1 drops the product, so the common shapes stay
-    readable.  inv(q) is read as 1/q.
+    readable.  inv(q) is read as 1/q.  A model whose e is above the
+    largest power the parser expands, x^100000, is refused with
+    CarrierTooLargeError before anything is built.
     """
     if not model.is_finite:
         raise InfiniteCarrierError(
@@ -152,6 +155,10 @@ def eliminate_division(model, t: Term) -> Term:
         )
     pair = find_annihilating_exponents(model)
     e = 2 * (pair.n - pair.m) - 1
+    if e > _MAX_LITERAL:
+        raise CarrierTooLargeError(
+            f"{model.name} rewrites 1/x as x^{e}, a power above the "
+            f"x^{_MAX_LITERAL} that the parser expands")
 
     def quotient(num: Term, den: Term) -> Term:
         body = den if e == 1 else power(den, e)

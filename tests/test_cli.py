@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from meadow import BasicTerm, eval_term, mk, q0
+from meadow import BasicTerm, cli, eval_term, mk, q0
 from meadow.cli import main
 from meadow.models import GaloisMeadow, ModularMeadow
 
@@ -134,6 +135,13 @@ class TestParse:
         assert (code, err) == (0, "")
         assert out == ('{"command":"parse","input":"x^2000","term":"1'
                        + "*x" * 2000 + '","tree":' + tree + '}\n')
+
+    def test_text_output_builds_no_tree(self, capsys, monkeypatch):
+        # the tree of "100000" would be dicts nested 100 001 levels deep
+        def no_tree(t):
+            raise AssertionError("tree built")
+        monkeypatch.setattr("meadow.cli.term_to_data", no_tree)
+        assert run_cli(capsys, "parse", "100000") == (0, "100000\n", "")
 
     def test_json_includes_tree(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "x", "--format", "json")
@@ -493,10 +501,51 @@ def test_sample_count_above_the_bound_is_refused_at_once():
 ], ids=["eval", "check"])
 def test_text_output_prints_no_input_term(argv, code, out):
     # the input's tree has 10^9 nodes, so its text would never finish;
-    # only --format json prints it
+    # only --format json prints it, and refuses it (below)
     proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "((x^1000)^1000)^1000 = x", "--model", "mk:7",
+     "--format", "json"],
+    ["parse", "((x^1000)^1000)^1000"],
+], ids=["check-json", "parse"])
+def test_text_past_the_printed_size_bound_is_refused(argv):
+    # the printer knows the text's length before it builds any of it
+    proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: the term's text has 2004004001 characters, more "
+        f"than the {1 << 24} that printing spells out\n")
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="numerals are unary chains, so 2^40 builds 2^40 "
+                          "nodes; ROADMAP direction 2 (an integer leaf)")
+@pytest.mark.parametrize("argv", [
+    ["normalize", "2^40*x", "--canonical", "x"],
+    ["normalize", "(x+1)^40", "--canonical", "x"],
+    ["simplify", "2^40/x", "--target", "sum-of-fractions"],
+    ["falsify", "x + 2^40", "x"],
+])
+def test_large_coefficients_answer(argv):
+    proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
+                          capture_output=True, text=True, timeout=2)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_imports_no_private_name():
+    # the CLI restates no rule of the library, so it needs none of its
+    # private names
+    private = [(node.module, alias.name)
+               for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("meadow"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 @property

@@ -4,9 +4,10 @@ import pytest
 
 from meadow import (
     Add, Div, Inv, Mul, Neg, ONE, ParseError, SignatureError, Var, ZERO,
-    eval_term, mk_numeral, parse, power, print_term, q0, term_from_data,
-    term_to_data,
+    eval_term, fold, mk_numeral, parse, power, print_term, q0,
+    term_from_data, term_to_data, to_inversive,
 )
+from meadow import syntax
 
 from gen import random_term
 
@@ -252,9 +253,27 @@ def test_round_trip_inversive_terms():
     rng = random.Random(12)
     for _ in range(300):
         t = random_term(rng, 5)
-        from meadow import to_inversive
         u = to_inversive(t)
         assert parse(print_term(u), "inversive") == u
+
+
+def test_rendered_size_is_the_printed_length(corpus):
+    rng = random.Random(14)
+    opened = [random_term(rng, 6) for _ in range(300)]
+    for t in [*corpus, *opened, *map(to_inversive, opened)]:
+        size = fold(t, syntax._render_leaf, syntax._RENDER)[3]
+        assert size == len(print_term(t)), t
+
+
+def test_printed_size_bound():
+    at_bound = Var("x" * syntax._MAX_PRINTED)
+    assert len(print_term(at_bound)) == syntax._MAX_PRINTED
+    with pytest.raises(ValueError, match=f"has {syntax._MAX_PRINTED + 1} "):
+        print_term(Neg(at_bound))
+    # 10^9 factors, from 3002 distinct nodes, refused before any text
+    with pytest.raises(ValueError, match="has 2004004001 characters, more "
+                       f"than the {syntax._MAX_PRINTED} that printing"):
+        print_term(parse("((x^1000)^1000)^1000"))
 
 
 def test_data_round_trip():

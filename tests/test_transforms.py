@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from meadow import (
     Add, Div, Mul, Neg, ONE, Var, ZERO,
-    ExponentPair, InfiniteCarrierError, MixedSignatureError, OpenTermError,
+    CarrierTooLargeError, ExponentPair, InfiniteCarrierError,
+    MixedSignatureError, OpenTermError,
     REFUTED, SAMPLED_OK, Sampled, SimpleClosedFraction, UniPoly, VALID,
     check_eq, claim_sides, closed_to_simple_fraction_q0,
     closed_to_simple_fraction_q0_via_basic, contains_div, eliminate_division,
@@ -197,6 +199,19 @@ class TestEliminateDivision:
     def test_infinite_carrier_rejected(self, rationals):
         with pytest.raises(InfiniteCarrierError):
             eliminate_division(rationals, parse("1/x"))
+
+    @pytest.mark.parametrize("model, e", [(gf(2, 20), 2 ** 21 - 3),
+                                          (mk(1048573), 2 * 1048572 - 1)],
+                             ids=["gf:2^20", "mk:1048573"])
+    def test_power_above_the_parser_bound_is_refused(self, model, e):
+        # each reciprocal would become a product of about 2 million factors
+        start = time.perf_counter()
+        with pytest.raises(CarrierTooLargeError) as info:
+            to_simple_fraction_finite(model, parse("1/x + 1/(x + 1)"))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            f"{model.name} rewrites 1/x as x^{e}, a power above the "
+            "x^100000 that the parser expands")
 
 
 class TestSumOfSimpleFractions:
