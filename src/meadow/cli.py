@@ -7,10 +7,12 @@ Exit status: 0 for success (including Valid and SampledOk verdicts),
 or domain errors.  ``--format json`` emits one line of deterministic
 JSON (sorted keys, no whitespace) so reruns are byte-identical.  A term
 or equation given as ``-`` is read from stdin, which has no length cap.
+A reader that closes stdout early changes no exit status.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import MeadowError
@@ -125,11 +127,18 @@ def _dumps(value) -> str:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(_dumps(payload))
-    else:
-        for line in text_lines:
+    lines = [_dumps(payload)] if args.format == "json" else text_lines
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, which changes no verdict; what is left
+        # unwritten goes to the null device, so that the interpreter's
+        # final flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_assignment(model, items: list[str]) -> dict:

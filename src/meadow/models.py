@@ -57,7 +57,7 @@ from .errors import (
 )
 from .terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Pair, _Record, _plan,
-    _setattr, fold, variables,
+    fold, variables,
 )
 from .syntax import _MAX_LITERAL
 
@@ -88,27 +88,21 @@ class Sampled(_Record):
     ``MAX_SAMPLES``."""
 
     __slots__ = ("count", "seed")
+    _defaults = (10_000, 0)
 
-    def __init__(self, count: int = 10_000, seed: int = 0):
-        if count < 1:
-            raise ValueError(f"sample count must be at least 1, got {count}")
-        if count > MAX_SAMPLES:
+    def _validate(self):
+        if self.count < 1:
+            raise ValueError(
+                f"sample count must be at least 1, got {self.count}")
+        if self.count > MAX_SAMPLES:
             raise CarrierTooLargeError(
-                f"{count} samples are more than the {MAX_SAMPLES} that a "
-                "sampled check draws")
-        _setattr(self, "count", count)
-        _setattr(self, "seed", seed)
+                f"{self.count} samples are more than the {MAX_SAMPLES} "
+                "that a sampled check draws")
 
 
 class CheckReport(_Record):
     __slots__ = ("verdict", "counterexample", "evaluations", "seed")
-
-    def __init__(self, verdict: str, counterexample: dict[str, Any] | None,
-                 evaluations: int, seed: int | None = None):
-        _setattr(self, "verdict", verdict)
-        _setattr(self, "counterexample", counterexample)
-        _setattr(self, "evaluations", evaluations)
-        _setattr(self, "seed", seed)
+    _defaults = (None,)
 
 
 class MeadowModel:
@@ -456,12 +450,6 @@ class CrtDecomposition(_Record):
     """Explicit bijection Z/kZ <-> product of prime fields, square-free k."""
 
     __slots__ = ("modulus", "primes", "factors")
-
-    def __init__(self, modulus: int, primes: tuple[int, ...],
-                 factors: tuple[ModularMeadow, ...]):
-        _setattr(self, "modulus", modulus)
-        _setattr(self, "primes", primes)
-        _setattr(self, "factors", factors)
 
     def to_components(self, x: int) -> tuple[int, ...]:
         return tuple(x % p for p in self.primes)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import MixedSignatureError, NotRingTermError, OpenTermError
 from .syntax import _RENDER, _join, _render_leaf
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, ZERO, _Record, _setattr,
+    Add, Div, Inv, Mul, Neg, One, Term, ZERO, _Record,
     contains_div, contains_inv, fold, is_closed, mk_numeral,
 )
 
@@ -46,14 +46,11 @@ class SignedFraction(_Record):
 
     __slots__ = ("sign", "num", "den")
 
-    def __init__(self, sign: int, num: int, den: int):
-        if sign not in (1, -1):
+    def _validate(self):
+        if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if num < 1 or den < 1:
+        if self.num < 1 or self.den < 1:
             raise ValueError("numerator and denominator must be positive")
-        _setattr(self, "sign", sign)
-        _setattr(self, "num", num)
-        _setattr(self, "den", den)
 
     def negate(self) -> "SignedFraction":
         return SignedFraction(-self.sign, self.num, self.den)
@@ -81,9 +78,6 @@ class BasicTerm(_Record):
     """A sum of signed numeral fractions; no summands means 0."""
 
     __slots__ = ("summands",)
-
-    def __init__(self, summands: tuple[SignedFraction, ...]):
-        _setattr(self, "summands", summands)
 
     def __iter__(self):
         return iter(self.summands)

@@ -25,7 +25,7 @@ from .errors import (
     InfiniteCarrierError, NotPolynomialError, PremiseFailedError,
 )
 from .terms import (
-    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Record, _setattr,
+    Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Record,
     fold, mk_numeral,
 )
 
@@ -50,10 +50,6 @@ class UniPoly(_Record):
     """
 
     __slots__ = ("variable", "coeffs")
-
-    def __init__(self, variable: str, coeffs: tuple[int, ...]):
-        _setattr(self, "variable", variable)
-        _setattr(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, variable: str, coeffs: Sequence[int]) -> "UniPoly":
@@ -260,9 +256,6 @@ class MultiPoly(_Record):
     """
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[Monomial, int], ...]):
-        _setattr(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, int]) -> "MultiPoly":

@@ -271,39 +271,56 @@ def print_term(t: Term) -> str:
     return _join(fold(t, _render_leaf, _RENDER))
 
 
+def _frame(kind: str, fields) -> int:
+    """The characters of {"node": kind, field: ...} as ``cli._dumps``
+    writes it (sorted keys, no whitespace), without the fields' values:
+    the braces, the commas, the quoted keys and the quoted kind."""
+    return len(kind) + 11 + sum(len(field) + 4 for field in fields)
+
+
+def _data_op(cls):
+    kind, fields = cls.__name__.lower(), cls.__slots__
+    frame = _frame(kind, fields)
+    return lambda *children: (
+        {"node": kind, **{f: data for f, (data, _) in zip(fields, children)}},
+        frame + sum(size for _, size in children))
+
+
+# A fold value is a subterm's dict and the length of its JSON text.
+_DATA = {cls: _data_op(cls) for cls in (Add, Mul, Neg, Div, Inv)}
+
+
 def _data_leaf(node, n):
     if n is None:
-        return {"node": "var", "name": node.name}
+        import json  # here, since only a JSON tree needs it
+        return ({"node": "var", "name": node.name},
+                _frame("var", ["name"]) + len(json.dumps(node.name)))
+    one = {"node": "one"}, _frame("one", [])
     if isinstance(node, One):
-        return {"node": "one"}
-    data = {"node": "zero"}
+        return one
+    data = {"node": "zero"}, _frame("zero", [])
     for _ in range(abs(n)):
-        data = {"node": "add", "left": data, "right": {"node": "one"}}
-    return {"node": "neg", "arg": data} if n < 0 else data
-
-
-_DATA = {
-    Add: lambda left, right: {"node": "add", "left": left, "right": right},
-    Mul: lambda left, right: {"node": "mul", "left": left, "right": right},
-    Neg: lambda arg: {"node": "neg", "arg": arg},
-    Div: lambda num, den: {"node": "div", "num": num, "den": den},
-    Inv: lambda arg: {"node": "inv", "arg": arg},
-}
+        data = _DATA[Add](data, one)
+    return _DATA[Neg](data) if n < 0 else data
 
 
 def term_to_data(t: Term):
     """Plain-data (JSON-ready) encoding of a term tree.
 
-    Structurally equal subterms are encoded as one shared dict.
+    Structurally equal subterms are encoded as one shared dict.  The
+    fold carries the length of each dict's JSON text, which sharing can
+    make exponential in the term's distinct nodes, so a tree whose text
+    is longer than _MAX_PRINTED is refused with ValueError, as printing
+    refuses one.
     """
-    return fold(t, _data_leaf, _DATA)
+    data, size = fold(t, _data_leaf, _DATA)
+    if size > _MAX_PRINTED:
+        raise ValueError(f"the term's JSON tree has {size} characters, more "
+                         f"than the {_MAX_PRINTED} that encoding spells out")
+    return data
 
 
-_FROM_DATA = {
-    "add": (Add, ("left", "right")), "mul": (Mul, ("left", "right")),
-    "neg": (Neg, ("arg",)), "div": (Div, ("num", "den")),
-    "inv": (Inv, ("arg",)),
-}
+_FROM_DATA = {cls.__name__.lower(): cls for cls in _DATA}
 
 
 def term_from_data(data) -> Term:
@@ -324,7 +341,8 @@ def term_from_data(data) -> Term:
         elif node == "var":
             t = Var(item["name"])
         elif node in _FROM_DATA:
-            cls, fields = _FROM_DATA[node]
+            cls = _FROM_DATA[node]
+            fields = cls.__slots__
             if not ready:
                 stack.append((item, True))
                 stack.extend((item[f], False) for f in reversed(fields))

@@ -43,19 +43,39 @@ _setattr = object.__setattr__
 class _Record:
     """An immutable value whose fields are its ``__slots__``, in order.
 
-    A subclass's ``__init__`` takes the fields in that order and sets
-    each once with ``_setattr``.  The base gives equality within one
-    class, a hash consistent with it, the field-by-field repr, positional
-    class patterns, and pickling and copying through the constructor.
+    A subclass declares its fields once, in ``__slots__``, and defines
+    no ``__init__``: the base writes one for it at import, as
+    ``dataclasses`` does, with one parameter per field in slot order.
+    The constructor sets each field once with ``_setattr``, then calls
+    the class's ``_validate()`` if it has one, which raises on fields
+    the value may not hold; classes without one pay no call.  A class's
+    ``_defaults`` are the defaults of its trailing fields.  The base
+    gives equality within one class, a hash consistent with it, the
+    field-by-field repr, positional class patterns, and pickling and
+    copying through the constructor.
     """
 
     __slots__ = ()
+    _defaults = ()
 
     def __init_subclass__(cls):
         names = cls.__match_args__ = cls.__slots__
         # what == and hash read, in C: the field, the tuple of fields, or
         # for a class without fields the class itself
         cls._key = attrgetter(*names or ["__class__"])
+        # written in a class statement of the same name, so that argument
+        # errors name the class's __init__ as a hand-written one does
+        body = [f"  _setattr(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "_validate"):
+            body.append("  self._validate()")
+        source = "\n".join([f"class {cls.__name__}:",
+                            f" def __init__(self, {', '.join(names)}):",
+                            *(body or ["  pass"])])
+        scope = {}
+        exec(source, {"_setattr": _setattr, "__name__": cls.__module__},
+             scope)
+        cls.__init__ = scope[cls.__name__].__init__
+        cls.__init__.__defaults__ = cls._defaults
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -151,31 +171,17 @@ class One(Term):
 class Var(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
-
 
 class Add(Term):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
 
 
 class Mul(Term):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
-
 
 class Neg(Term):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Term):
-        _setattr(self, "arg", arg)
 
 
 class Div(Term):
@@ -183,18 +189,11 @@ class Div(Term):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Term, den: Term):
-        _setattr(self, "num", num)
-        _setattr(self, "den", den)
-
 
 class Inv(Term):
     """Unary inverse; the inversive counterpart of Div."""
 
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Term):
-        _setattr(self, "arg", arg)
 
 
 class _Pair:

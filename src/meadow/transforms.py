@@ -35,7 +35,7 @@ from .normal_forms import product, split_reciprocal, to_basic
 from .polynomials import MultiPoly, _poly_term
 from .syntax import _MAX_LITERAL
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record, _setattr,
+    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record,
     contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
 )
 
@@ -58,7 +58,8 @@ class SimpleClosedFraction(_Record):
 
     __slots__ = ("sign", "num", "den")
 
-    def __init__(self, sign: int, num: int, den: int):
+    def _validate(self):
+        sign, num, den = self.sign, self.num, self.den
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if num < 0 or den < 1:
@@ -67,9 +68,6 @@ class SimpleClosedFraction(_Record):
             raise ValueError("fraction must be in lowest terms")
         if num == 0 and (sign != 1 or den != 1):
             raise ValueError("zero is spelled +0/1")
-        _setattr(self, "sign", sign)
-        _setattr(self, "num", num)
-        _setattr(self, "den", den)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "SimpleClosedFraction":
@@ -118,11 +116,9 @@ class ExponentPair(_Record):
 
     __slots__ = ("n", "m")
 
-    def __init__(self, n: int, m: int):
-        if not n > m >= 1:
+    def _validate(self):
+        if not self.n > self.m >= 1:
             raise ValueError("need n > m >= 1")
-        _setattr(self, "n", n)
-        _setattr(self, "m", m)
 
 
 def find_annihilating_exponents(model) -> ExponentPair:
@@ -178,9 +174,6 @@ class SumOfSimpleFractions(_Record):
     """Sum of polynomial fractions; each summand is (numerator, denominator)."""
 
     __slots__ = ("summands",)
-
-    def __init__(self, summands: tuple[tuple[MultiPoly, MultiPoly], ...]):
-        _setattr(self, "summands", summands)
 
     def __iter__(self):
         return iter(self.summands)

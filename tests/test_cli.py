@@ -521,6 +521,32 @@ def test_text_past_the_printed_size_bound_is_refused(argv):
         f"than the {1 << 24} that printing spells out\n")
 
 
+def test_json_tree_past_the_printed_size_bound_is_refused():
+    # the text is 2 004 001 characters, the JSON tree 56 045 014; the
+    # encoder knows the tree's length before _dumps expands its sharing
+    proc = subprocess.run([sys.executable, "-m", "meadow", "parse",
+                           "(x^1000)^1000", "--format", "json"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: the term's JSON tree has 56045014 characters, more "
+        f"than the {1 << 24} that encoding spells out\n")
+
+
+@pytest.mark.parametrize("equation, code", [
+    ("x^61 = x", 0), ("x^2 = x", 1)], ids=["valid", "refuted"])
+def test_closed_stdout_changes_no_exit_code(equation, code):
+    # the reader goes away before the command writes its verdict
+    proc = subprocess.Popen([sys.executable, "-m", "meadow", "check",
+                             equation, "--model", "mk:2310"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (code, b"")
+
+
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
                    reason="numerals are unary chains, so 2^40 builds 2^40 "
                           "nodes; ROADMAP direction 2 (an integer leaf)")

@@ -12,11 +12,13 @@ import pytest
 
 from meadow import (
     Div, Mul, Neg, ONE, One, Sampled, VALID, SAMPLED_OK, Var, Zero,
-    check_eq, cr_normal, eliminate_division, eval_term, is_basic_term,
+    check_eq, cr_normal, eliminate_division, eval_term, fold, is_basic_term,
     iter_subterms, mk, mk_numeral, parse, print_term, substitute,
     term_from_data, term_to_data, to_basic, to_canonical, to_divisive,
     to_inversive, to_sum_of_simple_fractions,
 )
+from meadow.cli import _dumps
+from meadow.syntax import _DATA, _data_leaf
 
 N = 100_000
 x = Var("x")
@@ -114,6 +116,13 @@ def test_walkers_at_depth_1e5(case):
             for n, d in to_sum_of_simple_fractions(t)] == summands
     if coeffs is not None:
         assert to_canonical(t, "x").coeffs == coeffs
+
+
+def test_json_length_is_known_before_encoding(corpus):
+    # the fold carries the length that _dumps writes; the longest here,
+    # "power", has 5.6 MB of JSON, under the bound
+    for t in [case[0]() for case in CASES.values()] + corpus:
+        assert fold(t, _data_leaf, _DATA)[1] == len(_dumps(term_to_data(t)))
 
 
 def test_pickle_keeps_shared_subterms():
