@@ -104,25 +104,48 @@ class _Json(str):
     """Text that is already JSON."""
 
 
+_OPEN_DICT, _CLOSE_DICT, _OPEN_LIST, _CLOSE_LIST, _COMMA = map(_Json, "{}[],")
+
+
 def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, separators=(",", ":")), with an
     explicit stack so deep term trees encode like shallow ones.  A term
-    encodes as its text, built only here, since that can take long."""
+    encodes as its text, built only here, since that can take long.
+    Each key set's labels and each scalar are encoded once per call, the
+    scalars keyed by type and value so that True, 1 and 1.0 stay apart;
+    floats are not kept, since -0.0 == 0.0."""
     import json  # here, since most commands print text
+    labels: dict[tuple, list] = {}   # a dict's keys -> sorted (key, label)
+    scalars: dict[tuple, str] = {}   # (type, value) -> JSON text
     out, todo = [], [value]
     while todo:
         v = todo.pop()
-        if isinstance(v, (dict, list, tuple)):
-            keyed = isinstance(v, dict)
-            items = sorted(v.items()) if keyed else [(None, x) for x in v]
-            todo.append(_Json("}" if keyed else "]"))
-            for n, (key, x) in reversed(list(enumerate(items))):
-                label = json.dumps(key) + ":" if keyed else ""
-                todo += [x, _Json("," * (n > 0) + label)]
-            todo.append(_Json("{" if keyed else "["))
+        cls = v.__class__
+        if cls is _Json:
+            out.append(v)
+        elif isinstance(v, dict):
+            keys = tuple(v)
+            if keys not in labels:
+                labels[keys] = [
+                    (key, _Json("," * (n > 0) + json.dumps(key) + ":"))
+                    for n, key in enumerate(sorted(keys))]
+            todo.append(_CLOSE_DICT)
+            for key, label in reversed(labels[keys]):
+                todo += (v[key], label)
+            todo.append(_OPEN_DICT)
+        elif isinstance(v, (list, tuple)):
+            items = [_COMMA] * (2 * len(v) - 1)   # commas between items
+            items[::2] = v
+            todo += [_CLOSE_LIST, *reversed(items), _OPEN_LIST]
+        elif isinstance(v, Term):
+            out.append(json.dumps(print_term(v)))
+        elif cls is float:
+            out.append(json.dumps(v))
         else:
-            out.append(v if isinstance(v, _Json) else json.dumps(
-                print_term(v) if isinstance(v, Term) else v))
+            text = scalars.get((cls, v))
+            if text is None:
+                text = scalars[cls, v] = json.dumps(v)
+            out.append(text)
     return "".join(out)
 
 

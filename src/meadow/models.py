@@ -15,7 +15,10 @@ plan, so structurally equal subterms of either side are computed once
 per assignment.  The finite models compute on their own elements; ``q0``
 computes on integer pairs (n, d) with d > 0, see ``RationalMeadow``, and
 hands back ``Fraction`` values, so results and reports are the same
-either way.
+either way.  A sampled check draws working values (``_draw``) and folds
+them as they are; only a witness is lowered to elements, so ``q0``
+builds a ``Fraction`` for a counterexample alone.  ``random_element`` is
+the lowered draw.
 
 ``check_eq`` decides equations over a finite model by exhausting all
 assignments, and tests them on an infinite model by deterministic
@@ -126,6 +129,10 @@ class MeadowModel:
         return ProgramOps(_itself, _itself, operator.eq,
                           self.add, self.mul, self.neg, self.div)
 
+    def random_element(self, rng: random.Random):
+        """The element a sampled check's draw ``_draw(rng)`` stands for."""
+        return self._program_ops().lower(self._draw(rng))
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -152,7 +159,9 @@ class FiniteMeadow(MeadowModel):
         """All elements in index order, built on first use."""
         return [self.element_at(i) for i in range(self.size)]
 
-    def random_element(self, rng: random.Random):
+    def _draw(self, rng: random.Random):
+        """A working value for a sampled check: a uniform element, which
+        the model's program ops compute on as it is."""
         return self.element_at(rng.randrange(self.size))
 
     @property
@@ -239,10 +248,11 @@ class RationalMeadow(MeadowModel):
     def of_int(self, n: int):
         return Fraction(n)
 
-    def random_element(self, rng: random.Random):
-        # Numerators may be 0, deliberately: sampled assignments must be
-        # able to hit the totalized x/0 = 0 branches.
-        return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+    def _draw(self, rng: random.Random):
+        # A working value for a sampled check, a pair n/d.  Numerators may
+        # be 0, deliberately: sampled assignments must be able to hit the
+        # totalized x/0 = 0 branches.
+        return rng.randint(-99, 99), rng.randint(1, 99)
 
     def parse_element(self, text: str):
         # Fraction builds the power of 10 of an exponent, as in 1e-5, whole
@@ -776,14 +786,16 @@ def _sweep_size(model: FiniteMeadow, k: int) -> int:
 def _first_mismatch(model, sides, envs):
     """The first of the assignments envs under which the sides differ,
     folded pointwise with the model's program ops, and how many were
-    folded; the assignment is None if the sides never differ."""
+    folded; the assignment is None if the sides never differ.  envs
+    assign working values, and only the assignment returned is lowered
+    to elements."""
     ops = model._program_ops()
     evaluator = _evaluator(   # its leaf reads env, the assignment in turn
         sides, lambda n: ops.lift(model.of_int(n)),
-        lambda name: ops.lift(env[name]), ops, ops.same)
+        lambda name: env[name], ops, ops.same)
     for i, env in enumerate(envs, 1):
         if not fold(sides, *evaluator):
-            return i, env
+            return i, {name: ops.lower(v) for name, v in env.items()}
     return i, None
 
 
@@ -796,6 +808,7 @@ def _check_exhaustive(model, sides, names):
     base, k = model.sweep_base, len(names)
     swept, count = _sweep_size(model, k), model.size ** k
     if _sweeps_pointwise(swept):
+        # a finite model computes on its elements, as _draw says
         witness = _first_mismatch(model, sides, (
             dict(zip(names, assigned)) for assigned in itertools.product(
                 map(model.element_at, range(base)), repeat=k)))[1]
@@ -841,7 +854,7 @@ def _check_exhaustive(model, sides, names):
 def _check_sampled(model, sides, names, strategy: Sampled):
     rng = random.Random(strategy.seed)
     i, witness = _first_mismatch(model, sides, (
-        {name: model.random_element(rng) for name in names}
+        {name: model._draw(rng) for name in names}
         for _ in range(strategy.count)))
     return CheckReport(SAMPLED_OK if witness is None else REFUTED, witness,
                        i, strategy.seed)

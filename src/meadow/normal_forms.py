@@ -128,8 +128,11 @@ def _merge_kernels(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     is.  Merging across different kernels is not sound and is never
     done.  A negative denominator moves its sign to the numerator;
     summands that cancel to numerator 0 are dropped; order is by first
-    appearance of each kernel.
+    appearance of each kernel.  A list of at most one summand has
+    nothing to group, so it only gets the sign move and the drop.
     """
+    if len(pairs) < 2:
+        return [(-n, -d) if d < 0 else (n, d) for n, d in pairs if n]
     groups: list[list[tuple[int, int]]] = []
     for n, d in pairs:
         if d < 0:

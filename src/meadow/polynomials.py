@@ -252,7 +252,9 @@ class MultiPoly(_Record):
     terms maps monomials (sorted (variable, exponent) pairs, exponents
     at least 1) to nonzero coefficients, stored as a tuple in
     descending graded-lexicographic order.  Use ``from_dict`` or the
-    ``constant``/``variable`` constructors.
+    ``constant``/``variable`` constructors.  A product with the unit
+    polynomial and a sum with the zero one return the other operand
+    itself, since nothing is left to compute.
     """
 
     __slots__ = ("terms",)
@@ -283,6 +285,10 @@ class MultiPoly(_Record):
         return tuple(sorted(names))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         acc = dict(self.terms)
         for m, c in other.terms:
             acc[m] = acc.get(m, 0) + c
@@ -295,6 +301,10 @@ class MultiPoly(_Record):
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        if other.is_one:
+            return self
+        if self.is_one:
+            return other
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:

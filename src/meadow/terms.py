@@ -21,6 +21,7 @@ trees, they never compute.
 """
 from __future__ import annotations
 
+import gc
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping
 
@@ -358,9 +359,23 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
     they are what ==, hash and pickling read.
     """
     global _slot
-    slot = _slot
-    if slot[0] is t:
-        return slot[1:4]
+    if _slot[0] is t:
+        return _slot[1:4]
+    # The walk allocates tuples, lists and dicts that hold no cycle, so
+    # the cyclic collector, which would rescan the live term at each of
+    # its runs, is paused for it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _slot = t, *_walk(t, _slot)
+    finally:
+        if enabled:
+            gc.enable()
+    return _slot[1:4]
+
+
+def _walk(t: Term, slot: tuple) -> tuple[list, dict, dict]:
+    """The plan of t, built as ``_plan`` describes, from the last slot."""
     # A stack entry's flag is the node's children once they are planned;
     # before, True marks a p + 1 step whose + 1 chain does not start at 0.
     plan: list[tuple[Any, Any, Any]] = []
@@ -411,7 +426,6 @@ def _plan(t: Term) -> tuple[list[tuple[Any, Any, Any]], dict[int | None, int],
             plan.append(entry)
             if entry[0] is not None:
                 last[a] = last[b] = i
-    _slot = t, plan, last, index
     return plan, last, index
 
 

@@ -35,7 +35,7 @@ from .normal_forms import product, split_reciprocal, to_basic
 from .polynomials import MultiPoly, _poly_term
 from .syntax import _MAX_LITERAL
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record,
+    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record, _plan,
     contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
 )
 
@@ -141,9 +141,11 @@ def eliminate_division(model, t: Term) -> Term:
     Innermost first, each p/q becomes p * q**e with e = 2(n-m)-1 from
     the model's exponent pair; e = 1 drops the power wrapper, and a
     dividend of exactly 1 drops the product, so the common shapes stay
-    readable.  inv(q) is read as 1/q.  A model whose e is above the
-    largest power the parser expands, x^100000, is refused with
-    CarrierTooLargeError before anything is built.
+    readable.  inv(q) is read as 1/q.  Each distinct division builds
+    its own power of e factors, so a model and term whose e, or whose
+    count of distinct divisions times e, is above the largest power the
+    parser expands, x^100000, are refused with CarrierTooLargeError
+    before anything is built.
     """
     if not model.is_finite:
         raise InfiniteCarrierError(
@@ -155,6 +157,14 @@ def eliminate_division(model, t: Term) -> Term:
         raise CarrierTooLargeError(
             f"{model.name} rewrites 1/x as x^{e}, a power above the "
             f"x^{_MAX_LITERAL} that the parser expands")
+    plan = _plan(t)[0]
+    if len(plan) * e > _MAX_LITERAL:   # else too few divisions to count
+        k = sum(cls is Div or cls is Inv for cls, _, _ in plan)
+        if k * e > _MAX_LITERAL:
+            raise CarrierTooLargeError(
+                f"{model.name} rewrites {k} divisions as powers x^{e}, "
+                f"{k * e} factors in all, more than the {_MAX_LITERAL} "
+                "that the parser expands")
 
     def quotient(num: Term, den: Term) -> Term:
         body = den if e == 1 else power(den, e)
@@ -201,7 +211,10 @@ def _merge_equal_denominators(pairs: list) -> list:
     polynomials added up, a/d + b/d = (a + b)/d, which holds in every
     divisive meadow because x/y = x*(1/y) and multiplication distributes.
     Groups whose numerators cancel to 0 are dropped; the rest keep the
-    order in which their denominators first appear."""
+    order in which their denominators first appear.  A list of at most
+    one summand has nothing to group and only drops a zero numerator."""
+    if len(pairs) < 2:
+        return [(f, g) for f, g in pairs if not f.is_zero]
     groups: dict[MultiPoly, MultiPoly] = {}
     for f, g in pairs:
         groups[g] = groups[g] + f if g in groups else f

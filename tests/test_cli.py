@@ -532,6 +532,23 @@ def test_json_tree_past_the_printed_size_bound_is_refused():
         f"than the {1 << 24} that encoding spells out\n")
 
 
+@pytest.mark.parametrize("payload", [
+    {"b": True, "a": 1, "c": 1.0, "d": None, "e": [True, 1, 1.0, None]},
+    [1, True, 1.0, -0.0, 0.0, "1", {"1": [1, [True, [None, []]]]}, {}],
+    {"z": {"y": [{"x": 1}, {"x": True}, {"x": 1.0}]}, "node": "mul"},
+])
+def test_dumps_writes_what_json_writes(payload):
+    assert cli._dumps(payload) == json.dumps(payload, sort_keys=True,
+                                             separators=(",", ":"))
+
+
+def test_dumps_encodes_deep_lists():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep, 1]
+    assert cli._dumps(deep) == "[" * 100_000 + "[]" + ",1]" * 100_000
+
+
 @pytest.mark.parametrize("equation, code", [
     ("x^61 = x", 0), ("x^2 = x", 1)], ids=["valid", "refuted"])
 def test_closed_stdout_changes_no_exit_code(equation, code):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -948,6 +949,28 @@ class TestPairEvaluator:
             got = eval_term(rationals, t, {"x": value})
             assert type(got) is Fraction
             assert got == run({"x": value})[0]
+
+    def test_c07_decision_reports_are_pinned(self, c07_pairs, rationals):
+        # the q0-decide benchmark op: each decomposition confirmed and
+        # its planted out + 1 refuted, at five seeds; digest taken before
+        # sampled checks folded working values
+        digest = hashlib.sha256()
+        for seed in range(1, 6):
+            strategy = Sampled(20, seed)
+            for t, rendered in c07_pairs:
+                for rhs in (rendered, Add(rendered, ONE)):
+                    report = check_eq(rationals, t, rhs, strategy)
+                    digest.update(repr(report).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "ec87d6b8bf42c9f8016caf6d100f9e332973d53fa7da92e045ff8f1433a98bdd")
+
+    def test_random_elements_are_pinned(self):
+        draws = [q0().random_element(random.Random(s)) for s in range(100)]
+        assert draws[:4] == [Fraction(-1, 98), Fraction(-65, 73),
+                             Fraction(-85, 12), Fraction(-39, 76)]
+        assert all(type(d) is Fraction for d in draws)
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+            "4390cb9546088f86fddfe0252b17801a716d487c267eb8b35908a761652b647e")
 
     def test_counterexamples_are_fractions(self, rationals):
         report = check_eq(rationals, Div(x, y), Add(Div(x, y), ONE),

@@ -84,6 +84,15 @@ class TestToBasic:
         assert summand_triples(to_basic(parse("(1/2)*(1/2)"))) == [(1, 1, 4)]
         assert summand_triples(to_basic(parse("(1/2)*(3/4)"))) == [(1, 3, 8)]
 
+    @pytest.mark.parametrize("pairs, merged", [
+        ([], []), ([(3, -4)], [(-3, 4)]), ([(0, 5)], [])])
+    def test_merging_at_most_one_summand(self, pairs, merged):
+        # as grouping gives it: a 0 summand over the same kernel joins the
+        # group and leaves the result as it is
+        assert normal_forms._merge_kernels(pairs) == merged
+        for _, d in pairs:
+            assert normal_forms._merge_kernels(pairs + [(0, abs(d))]) == merged
+
     def test_addition_concatenates(self):
         assert summand_triples(to_basic(parse("1/2 + 1/3"))) == \
             [(1, 1, 2), (1, 1, 3)]

@@ -288,6 +288,16 @@ class TestMultiPoly:
                 got = eval_term(m6, p.to_term(), {"x": a, "y": b})
                 assert got == m6.of_int(int(want))
 
+    def test_unit_and_zero_operands(self):
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        one, zero = MultiPoly.constant(1), MultiPoly.constant(0)
+        for p in (x * y + MultiPoly.constant(-3), x, one, zero):
+            assert p * one == one * p == p
+            assert p + zero == zero + p == p
+        p = x * y + MultiPoly.constant(-3)
+        assert p * one is p and one * p is p
+        assert p + zero is p and zero + p is p
+
     def test_constant_rendering(self):
         assert print_term(MultiPoly.constant(1).to_term()) == "1"
         assert print_term(MultiPoly.constant(-2).to_term()) == "-2"

@@ -1,4 +1,5 @@
 import copy
+import gc
 import operator
 import pickle
 import random
@@ -421,3 +422,31 @@ class TestPlanReuse:
                 cold.append(f(t))
             is_closed(t)
             assert results(t) == tuple(cold)
+
+
+def test_plan_pauses_the_collector_and_restores_its_state():
+    enabled = gc.isenabled()
+    collections = []
+
+    def spy(phase, info):
+        collections.append(phase)
+    big = power(Var("x"), 20_000)
+    try:
+        gc.enable()
+        terms._plan(ONE)
+        gc.callbacks.append(spy)
+        try:
+            terms._plan(big)
+        finally:
+            gc.callbacks.remove(spy)
+        assert collections == []
+        with pytest.raises(TypeError, match="not a term"):
+            terms._plan(Add(big, 5))
+        assert gc.isenabled()
+        gc.disable()
+        with pytest.raises(TypeError, match="not a term"):
+            terms._plan(Add(big, 5))
+        terms._plan(big)
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()

@@ -16,11 +16,13 @@ from meadow import (
     closed_to_simple_fraction_q0_via_basic, contains_div, eliminate_division,
     eval_term, falsify_simple_fraction_claim, find_annihilating_exponents,
     gf, guard_identities, is_simple_fraction, mk, mk_numeral, parse,
-    iter_subterms, print_term, q0, term_to_data, to_canonical,
+    iter_subterms, power, print_term, q0, term_to_data, to_canonical,
     to_simple_fraction_finite,
     to_sum_of_simple_fractions, variables,
 )
 from meadow.cli import _dumps
+from meadow.polynomials import MultiPoly
+from meadow.transforms import _merge_equal_denominators
 
 from gen import random_open_terms, random_term
 
@@ -213,6 +215,19 @@ class TestEliminateDivision:
             f"{model.name} rewrites 1/x as x^{e}, a power above the "
             "x^100000 that the parser expands")
 
+    def test_many_divisions_above_the_parser_bound_are_refused(self):
+        # each division becomes its own product of 99 995 factors
+        model = mk(49999)
+        start = time.perf_counter()
+        with pytest.raises(CarrierTooLargeError) as info:
+            to_simple_fraction_finite(model, parse("1/a + 1/b + 1/c"))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "mk:49999 rewrites 3 divisions as powers x^99995, 299985 "
+            "factors in all, more than the 100000 that the parser expands")
+        assert eliminate_division(model, parse("1/a")) == power(Var("a"),
+                                                                99995)
+
 
 class TestSumOfSimpleFractions:
     def test_already_simple_passes_through(self):
@@ -334,6 +349,22 @@ class TestMergedSummands:
         s = to_sum_of_simple_fractions(parse("1/(2/x + 3/x)"))
         assert [(print_term(n.to_term()), print_term(d.to_term()))
                 for n, d in s] == [("x*x", "5*x")]
+
+    @pytest.mark.parametrize("pairs, merged", [
+        ([], []), ([(3, -4)], [(3, -4)]), ([(0, 5)], []),
+        ([("x", "y")], [("x", "y")])])
+    def test_merging_at_most_one_summand(self, pairs, merged):
+        def poly(c):
+            return (MultiPoly.variable(c) if isinstance(c, str)
+                    else MultiPoly.constant(c))
+        pairs = [(poly(f), poly(g)) for f, g in pairs]
+        merged = [(poly(f), poly(g)) for f, g in merged]
+        assert _merge_equal_denominators(pairs) == merged
+        # as grouping gives it: a 0 summand over the same denominator
+        # joins the group and leaves the result as it is
+        zero = MultiPoly.constant(0)
+        for _, g in pairs:
+            assert _merge_equal_denominators(pairs + [(zero, g)]) == merged
 
     def test_unlike_denominators_stay_apart(self, rationals):
         s = to_sum_of_simple_fractions(parse("1/x + 1/y"))
