@@ -4,7 +4,8 @@ Every subcommand is a thin wrapper over one library call; anything the
 CLI prints can be reproduced programmatically with the same arguments.
 Exit status: 0 for success (including Valid and SampledOk verdicts),
 1 when a check is Refuted (the counterexample is printed), 2 for usage
-or domain errors.  ``--format json`` emits one line of deterministic
+or domain errors, and 70 (EX_SOFTWARE) for an internal error, which
+prints its traceback.  ``--format json`` emits one line of deterministic
 JSON (sorted keys, no whitespace) so reruns are byte-identical.  A term
 or equation given as ``-`` is read from stdin, which has no length cap.
 A reader that closes stdout early changes no exit status.
@@ -73,8 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check an equation LHS = RHS in a model")
     p.add_argument("equation")
     p.add_argument("--strategy", choices=("exhaustive", "sampled"))
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    sampled = Sampled()
+    p.add_argument("--samples", type=int, default=sampled.count)
+    p.add_argument("--seed", type=int, default=sampled.seed)
     common(p, _cmd_check)
 
     p = sub.add_parser("simplify", help="fraction transforms")
@@ -450,6 +452,11 @@ def main(argv=None) -> int:
     except (MeadowError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # here, since only a defect needs it
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 70
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

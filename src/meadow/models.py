@@ -9,16 +9,17 @@ equality; the two finite ones share the base ``FiniteMeadow``:
 * ``gf(p, n)``        -- the order-p^n Galois field as residues modulo a
                          fixed irreducible polynomial, with x/0 = 0.
 
-``eval_term`` and ``check_eq`` evaluate terms with ``terms.fold`` and the
-model's program ops (``_program_ops``); a check folds both sides as one
-plan, so structurally equal subterms of either side are computed once
-per assignment.  The finite models compute on their own elements; ``q0``
-computes on integer pairs (n, d) with d > 0, see ``RationalMeadow``, and
-hands back ``Fraction`` values, so results and reports are the same
-either way.  A sampled check draws working values (``_draw``) and folds
-them as they are; only a witness is lowered to elements, so ``q0``
-builds a ``Fraction`` for a counterexample alone.  ``random_element`` is
-the lowered draw.
+Each model states one arithmetic, its program ops (``_program_ops``):
+``eval_term`` and ``check_eq`` fold terms with them (``terms.fold``), and
+the element ops ``add``, ``mul``, ``neg`` and ``div`` and the numerals
+derive from them.  A check folds both sides as one plan, so structurally
+equal subterms of either side are computed once per assignment.  The
+finite models compute on their own elements; ``q0`` computes on integer
+pairs (n, d) with d > 0, see ``RationalMeadow``, and hands back
+``Fraction`` values.  A sampled check draws working values (``_draw``)
+and folds them as they are; only a witness is lowered to elements, so
+``q0`` builds a ``Fraction`` for a counterexample alone.
+``random_element`` is the lowered draw.
 
 ``check_eq`` decides equations over a finite model by exhausting all
 assignments, and tests them on an infinite model by deterministic
@@ -115,6 +116,8 @@ class MeadowModel:
     fix the representation.  Each states ``is_finite``, ``size``,
     ``carrier`` and ``characteristic``; an infinite model has carrier
     None and refuses ``size``.  Finite ones derive from ``FiniteMeadow``.
+    Each states one arithmetic, its program ops ``_ops``, and the element
+    ops ``add``, ``mul``, ``neg`` and ``div`` derive from them here.
     """
 
     name: str
@@ -124,14 +127,31 @@ class MeadowModel:
     characteristic: int
 
     def _program_ops(self) -> "ProgramOps":
-        """The ops terms are evaluated with: here the model's own, on its
-        elements."""
-        return ProgramOps(_itself, _itself, operator.eq,
-                          self.add, self.mul, self.neg, self.div)
+        """The ops terms are evaluated with, on working values."""
+        return self._ops
+
+    def add(self, a, b):
+        ops = self._program_ops()
+        return ops.lower(ops.add(ops.lift(a), ops.lift(b)))
+
+    def mul(self, a, b):
+        ops = self._program_ops()
+        return ops.lower(ops.mul(ops.lift(a), ops.lift(b)))
+
+    def neg(self, a):
+        ops = self._program_ops()
+        return ops.lower(ops.neg(ops.lift(a)))
+
+    def div(self, a, b):
+        ops = self._program_ops()
+        return ops.lower(ops.div(ops.lift(a), ops.lift(b)))
 
     def random_element(self, rng: random.Random):
         """The element a sampled check's draw ``_draw(rng)`` stands for."""
         return self._program_ops().lower(self._draw(rng))
+
+    def format_element(self, e) -> str:
+        return str(e)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -143,8 +163,10 @@ class FiniteMeadow(MeadowModel):
     Subclasses set ``size`` and the ``unit_exponent`` e, the least e >= 1
     with u**e = 1 for every unit u, so that x**(e + 1) = x for every x and
     the weak inverse of b is b**(2e - 1).  ``element_at`` and ``index_of``
-    map numbers to elements and back.  The carrier list is built only
-    when something reads it, so a large model costs nothing up front.
+    map numbers to elements, which the program ops compute on, and back:
+    numeral n is the element numbered n mod the characteristic, ``zero``
+    and ``one`` are those numbered 0 and 1.  The carrier list is built
+    only when something reads it, so a large model costs nothing up front.
     Each also derives ``sweep_base``: an exhaustive check sweeps only the
     elements numbered below it, for every variable, and that decides it
     over the whole carrier (``size`` for a field; see ``ModularMeadow``).
@@ -158,6 +180,12 @@ class FiniteMeadow(MeadowModel):
     def carrier(self) -> list:
         """All elements in index order, built on first use."""
         return [self.element_at(i) for i in range(self.size)]
+
+    zero = cached_property(lambda self: self.element_at(0))
+    one = cached_property(lambda self: self.element_at(1))
+
+    def of_int(self, n: int):
+        return self.element_at(n % self.characteristic)
 
     def _draw(self, rng: random.Random):
         """A working value for a sampled check: a uniform element, which
@@ -206,8 +234,8 @@ _DECIMAL = (rf"\s*[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?"
 class RationalMeadow(MeadowModel):
     """Exact rationals with division totalized by x/0 = 0.
 
-    Elements are ``Fraction`` values.  Evaluation (``eval_term``, sampled
-    ``check_eq``) computes on integer pairs (n, d) with d > 0 instead:
+    Elements are ``Fraction`` values.  The program ops, which evaluation
+    and the element ops run, compute on integer pairs (n, d) with d > 0:
     n/d is 0 exactly when n is, so x/0 = 0 needs no reduced form, and two
     pairs are compared by cross-multiplying.  A pair whose denominator is
     below 2**64 may be unreduced; ops on two such pairs skip the gcd that
@@ -226,24 +254,11 @@ class RationalMeadow(MeadowModel):
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self.characteristic = 0
+        self._ops = _PAIR_OPS
 
     @property
     def size(self) -> int:
         raise InfiniteExhaustiveError(f"{self.name} has an infinite carrier")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        if b == 0:
-            return Fraction(0)
-        return a / b
 
     def of_int(self, n: int):
         return Fraction(n)
@@ -266,13 +281,6 @@ class RationalMeadow(MeadowModel):
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise _not_an_element(self, text) from None
-
-    def format_element(self, e) -> str:
-        return str(e)
-
-    def _program_ops(self) -> "ProgramOps":
-        # The pairs compute what add, mul, neg and div above compute.
-        return _PAIR_OPS
 
 
 # Pairs with a denominator below _WIDE may be unreduced; the others are
@@ -395,8 +403,13 @@ class ModularMeadow(FiniteMeadow):
         self.sweep_base = max(self.primes)
         self.characteristic = k
         self.unit_exponent = math.lcm(*(p - 1 for p in self.primes))
-        self.zero = 0
-        self.one = 1 % k
+
+    @cached_property
+    def _ops(self) -> "ProgramOps":
+        k, e = self.k, 2 * self.unit_exponent - 1
+        return ProgramOps(_itself, _itself, operator.eq,
+                          lambda a, b: (a + b) % k, lambda a, b: a * b % k,
+                          lambda a: -a % k, lambda a, b: a * pow(b, e, k) % k)
 
     @cached_property
     def weak_inverse(self) -> tuple[int, ...]:
@@ -413,21 +426,6 @@ class ModularMeadow(FiniteMeadow):
                           lambda a, b: wrap[a + b], lambda a, b: a * b % k,
                           lambda a: wrap[k - a], lambda a, b: a * w[b] % k)
 
-    def add(self, a, b):
-        return (a + b) % self.k
-
-    def mul(self, a, b):
-        return (a * b) % self.k
-
-    def neg(self, a):
-        return (-a) % self.k
-
-    def div(self, a, b):
-        return a * pow(b, 2 * self.unit_exponent - 1, self.k) % self.k
-
-    def of_int(self, n: int):
-        return n % self.k
-
     def index_of(self, e) -> int:
         return e
 
@@ -442,9 +440,6 @@ class ModularMeadow(FiniteMeadow):
         if not 0 <= v < self.k:
             raise ValueError(f"{v} is outside the carrier 0..{self.k - 1}")
         return v
-
-    def format_element(self, e) -> str:
-        return str(e)
 
 
 def _crt_combine(components: Sequence[int], primes: Sequence[int]) -> int:
@@ -585,11 +580,23 @@ class GaloisMeadow(FiniteMeadow):
         self.characteristic = p
         self.unit_exponent = self.size - 1
         self.modulus = _first_irreducible(p, n)
-        self.zero = (0,) * n
-        self.one = self._pad([1 % p])
-        self.generator = self._pad([0, 1]) if n >= 2 else self._pad(
-            [(-self.modulus[0]) % p]
-        )
+        # the root of the modulus: x, or -a_0 when the modulus is linear
+        self.generator = self.element_at(
+            p if n >= 2 else -self.modulus[0] % p)
+
+    @cached_property
+    def _ops(self) -> "ProgramOps":
+        p, n, modulus, zero = self.p, self.n, self.modulus, self.zero
+
+        def mul(a, b):
+            rem = _poly_divmod(_poly_mul(a, b, p), modulus, p)[1]
+            return tuple(rem) + (0,) * (n - len(rem))
+        return ProgramOps(
+            _itself, _itself, operator.eq,
+            lambda a, b: tuple((x + y) % p for x, y in zip(a, b)), mul,
+            lambda a: tuple(-x % p for x in a),
+            lambda a, b: mul(a, _poly_inv_mod(b, modulus, p)) if any(b)
+            else zero)
 
     @cached_property
     def _sweep_ops(self) -> "ProgramOps":
@@ -642,29 +649,6 @@ class GaloisMeadow(FiniteMeadow):
             codes = np.where(codes < q - 1, codes * self.p % (q - 1), codes)
             least = np.minimum(least, lower(codes))
         return np.flatnonzero(least == index)
-
-    def _pad(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return tuple(list(coeffs)[: self.n] + [0] * (self.n - len(coeffs)))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        prod = _poly_mul(a, b, self.p)
-        _, rem = _poly_divmod(prod, list(self.modulus), self.p)
-        return self._pad(rem)
-
-    def div(self, a, b):
-        if b == self.zero:
-            return self.zero
-        inv = _poly_inv_mod(b, self.modulus, self.p)
-        return self.mul(a, self._pad(inv))
-
-    def of_int(self, n: int):
-        return self._pad([n % self.p])
 
     def index_of(self, e) -> int:
         return sum(c * self.p ** i for i, c in enumerate(e))
@@ -834,7 +818,7 @@ def _check_exhaustive(model, sides, names):
               for step in [1 if j < lead else SWEEP_CHUNK]]
     env: dict[str, Any] = {}
     evaluator = _evaluator(
-        sides, lambda n: ops.lift(model.index_of(model.of_int(n))),
+        sides, lambda n: ops.lift(n % model.characteristic),
         env.__getitem__, ops, operator.ne)
     # Chunks, and the assignments within a chunk, come in lexicographic
     # order with the first variable most significant, so the first

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from meadow import BasicTerm, cli, eval_term, mk, q0
+from meadow import BasicTerm, Sampled, cli, eval_term, mk, q0
 from meadow.cli import main
 from meadow.models import GaloisMeadow, ModularMeadow
 
@@ -736,3 +736,20 @@ def test_main_keeps_the_callers_digit_limit(capsys):
     for argv in (["eval", "2^20000"], ["parse", "x +"]):
         run_cli(capsys, *argv)
         assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize("error", [KeyError, RecursionError])
+def test_internal_error_exits_70(capsys, monkeypatch, error):
+    # exit 1 means Refuted; a defect says so and exits EX_SOFTWARE
+    def broken(*args):
+        raise error("injected")
+    monkeypatch.setattr("meadow.cli.check_eq", broken)
+    code, out, err = run_cli(capsys, "check", "x = x")
+    assert (code, out) == (70, "")
+    assert err.startswith("internal error:") and "Traceback" in err
+    assert f"{error.__name__}: " in err
+
+
+def test_sampling_defaults_are_the_libraries():
+    args = cli._build_parser().parse_args(["check", "x = x"])
+    assert (args.samples, args.seed) == (Sampled().count, Sampled().seed)

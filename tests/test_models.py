@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -415,6 +416,49 @@ class TestFiniteBase:
                             random.Random(seed).randrange(model.size)))
 
 
+def _element_op_lines(spec):
+    """add, mul, neg and div on seeded element pairs, with 0, 1, -1 and the
+    zero divisors of mk:k among them, and of_int on -60..60 and 10**30."""
+    model, rng = model_from_spec(spec), random.Random(spec)
+    if model.is_finite:
+        def draw():
+            return model.element_at(rng.randrange(model.size))
+        special = [model.element_at(i) for i in (0, 1, model.size - 1)] + [
+            model.element_at(p) for p in getattr(model, "primes", ())]
+    else:
+        def draw():
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        special = [Fraction(0), Fraction(1), Fraction(-1)]
+    pairs = list(itertools.product(special, repeat=2)) + [
+        (draw(), draw()) for _ in range(60)]
+    for a, b in pairs:
+        yield repr((a, b, model.add(a, b), model.mul(a, b), model.neg(a),
+                    model.div(a, b)))
+    for n in [*range(-60, 61), 10 ** 30]:
+        yield repr((n, model.of_int(n)))
+
+
+class TestElementOps:
+    def test_element_ops_are_pinned(self):
+        # the answers of element ops written per model, which the ops
+        # derived from the program ops must keep
+        digest = hashlib.sha256()
+        for spec in ("q0", "mk:6", "mk:30", "mk:2310", "gf:2^2", "gf:3^2",
+                     "gf:5^2", "gf:2^8"):
+            for line in _element_op_lines(spec):
+                digest.update(f"{spec} {line}\n".encode())
+        assert digest.hexdigest() == (
+            "a30c0f5a6cfa9e7390ea95b9f29a3164e6d7a8244c430f880208f5cb291003d2")
+
+    def test_rational_ops_are_exact_on_ints(self, rationals):
+        for value in (rationals.add(1, 2), rationals.mul(1, 2),
+                      rationals.neg(1), rationals.div(1, 2),
+                      rationals.div(1, 0)):
+            assert type(value) is Fraction, value
+        assert rationals.div(1, 2) == Fraction(1, 2)
+        assert rationals.div(1, 0) == 0
+
+
 class TestEvalTerm:
     def test_numerals(self, m6):
         assert eval_term(m6, mk_numeral(10)) == 4
@@ -515,9 +559,13 @@ class TestCheckEq:
         calls = []
 
         class Counting(models.ModularMeadow):
-            def mul(self, a, b):
-                calls.append((a, b))
-                return super().mul(a, b)
+            def _program_ops(self):
+                ops = super()._program_ops()
+
+                def mul(a, b):
+                    calls.append((a, b))
+                    return ops.mul(a, b)
+                return ops._replace(mul=mul)
 
         model = Counting(101)
         cube = parse("x*x*x")
@@ -528,6 +576,32 @@ class TestCheckEq:
                           Sampled(3))
         assert report.verdict == SAMPLED_OK
         assert len(calls) == 2 * 3
+
+    def test_numerals_past_the_characteristic(self, monkeypatch):
+        checks = [("mk:6", "x + 7", "x + 1", "valid", None),
+                  ("gf:3^2", "x*4", "x", "valid", None),
+                  ("gf:2^2", "x + 5", "x", "refuted", (0, 0))]
+        # pointwise in a fresh process, which has no numpy
+        script = f"""
+import sys
+from meadow import check_eq, model_from_spec, parse
+for spec, lhs, rhs, _, _ in {checks!r}:
+    model = model_from_spec(spec)
+    print(repr(check_eq(model, parse(lhs), parse(rhs))))
+assert "numpy" not in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pointwise = proc.stdout.splitlines()
+        assert len(pointwise) == len(checks), proc.stdout
+        monkeypatch.setattr(models, "_sweeps_pointwise", lambda _: False)
+        for (spec, lhs, rhs, verdict, at), line in zip(checks, pointwise):
+            model = model_from_spec(spec)
+            report = CheckReport(verdict, None if at is None else {"x": at},
+                                 model.size)
+            assert check_eq(model, parse(lhs), parse(rhs)) == report
+            assert line == repr(report), spec
 
 
 def _brute_force_check(model, lhs, rhs):
