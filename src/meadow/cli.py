@@ -449,7 +449,7 @@ def main(argv=None) -> int:
             if getattr(args, name, None) == "-":
                 setattr(args, name, sys.stdin.read())
         return args.handler(args)
-    except (MeadowError, ValueError, ZeroDivisionError) as exc:
+    except (MeadowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

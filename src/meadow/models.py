@@ -109,6 +109,10 @@ class CheckReport(_Record):
     _defaults = (None,)
 
 
+def _itself(e):
+    return e
+
+
 class MeadowModel:
     """Common interface of the shipped models.
 
@@ -117,7 +121,8 @@ class MeadowModel:
     ``carrier`` and ``characteristic``; an infinite model has carrier
     None and refuses ``size``.  Finite ones derive from ``FiniteMeadow``.
     Each states one arithmetic, its program ops ``_ops``, and the element
-    ops ``add``, ``mul``, ``neg`` and ``div`` derive from them here.
+    ops ``add``, ``mul``, ``neg`` and ``div`` derive from them here, as do
+    ``zero`` and ``one``: in every model they are the numerals 0 and 1.
     """
 
     name: str
@@ -125,6 +130,9 @@ class MeadowModel:
     size: int
     carrier: list | None
     characteristic: int
+
+    zero = cached_property(lambda self: self.of_int(0))
+    one = cached_property(lambda self: self.of_int(1))
 
     def _program_ops(self) -> "ProgramOps":
         """The ops terms are evaluated with, on working values."""
@@ -163,10 +171,11 @@ class FiniteMeadow(MeadowModel):
     Subclasses set ``size`` and the ``unit_exponent`` e, the least e >= 1
     with u**e = 1 for every unit u, so that x**(e + 1) = x for every x and
     the weak inverse of b is b**(2e - 1).  ``element_at`` and ``index_of``
-    map numbers to elements, which the program ops compute on, and back:
-    numeral n is the element numbered n mod the characteristic, ``zero``
-    and ``one`` are those numbered 0 and 1.  The carrier list is built
-    only when something reads it, so a large model costs nothing up front.
+    map numbers to elements, which the program ops compute on, and back;
+    an element is its own number unless a subclass says otherwise.  Numeral
+    n is the element numbered n mod the characteristic, so ``zero`` and
+    ``one`` are those numbered 0 and 1.  The carrier list is built only
+    when something reads it, so a large model costs nothing up front.
     Each also derives ``sweep_base``: an exhaustive check sweeps only the
     elements numbered below it, for every variable, and that decides it
     over the whole carrier (``size`` for a field; see ``ModularMeadow``).
@@ -181,8 +190,7 @@ class FiniteMeadow(MeadowModel):
         """All elements in index order, built on first use."""
         return [self.element_at(i) for i in range(self.size)]
 
-    zero = cached_property(lambda self: self.element_at(0))
-    one = cached_property(lambda self: self.element_at(1))
+    element_at = index_of = staticmethod(_itself)
 
     def of_int(self, n: int):
         return self.element_at(n % self.characteristic)
@@ -220,10 +228,6 @@ class ProgramOps(NamedTuple):
     div: Callable[[Any, Any], Any]
 
 
-def _itself(e):
-    return e
-
-
 # The decimal form of Fraction's text, with the exponent's digits as the
 # group; Fraction reads underscores between digits from Python 3.11 on.
 _DIGITS = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
@@ -251,8 +255,6 @@ class RationalMeadow(MeadowModel):
 
     def __init__(self):
         self.name = "q0"
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
         self.characteristic = 0
         self._ops = _PAIR_OPS
 
@@ -293,6 +295,11 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return (n, d) if g == 1 else (n // g, d // g)
 
 
+def _reduced(a):
+    """The pair a in lowest terms, which a wide pair already is."""
+    return a if a[1] >= _WIDE else _lowest(*a)
+
+
 def _pair_add(a, b):
     na, da = a
     nb, db = b
@@ -302,10 +309,7 @@ def _pair_add(a, b):
         else:
             n, d = na * db + nb * da, da * db
         return (n, d) if d < _WIDE else _lowest(n, d)
-    if da < _WIDE:
-        na, da = _lowest(na, da)
-    if db < _WIDE:
-        nb, db = _lowest(nb, db)
+    (na, da), (nb, db) = _reduced(a), _reduced(b)
     g = gcd(da, db)
     if g == 1:
         return na * db + nb * da, da * db
@@ -323,10 +327,7 @@ def _pair_mul(a, b):
     if da < _WIDE and db < _WIDE:
         n, d = na * nb, da * db
         return (n, d) if d < _WIDE else _lowest(n, d)
-    if da < _WIDE:
-        na, da = _lowest(na, da)
-    if db < _WIDE:
-        nb, db = _lowest(nb, db)
+    (na, da), (nb, db) = _reduced(a), _reduced(b)
     g1 = gcd(na, db)
     if g1 > 1:
         na, db = na // g1, db // g1
@@ -414,7 +415,8 @@ class ModularMeadow(FiniteMeadow):
     @cached_property
     def weak_inverse(self) -> tuple[int, ...]:
         """w(b) = 1/b for every residue b, built on first use."""
-        return tuple(self.div(1, b) for b in range(self.k))
+        div = self._ops.div
+        return tuple(div(1, b) for b in range(self.k))
 
     @cached_property
     def _sweep_ops(self) -> "ProgramOps":
@@ -426,12 +428,6 @@ class ModularMeadow(FiniteMeadow):
                           lambda a, b: wrap[a + b], lambda a, b: a * b % k,
                           lambda a: wrap[k - a], lambda a, b: a * w[b] % k)
 
-    def index_of(self, e) -> int:
-        return e
-
-    def element_at(self, i: int):
-        return i
-
     def parse_element(self, text: str):
         try:
             v = int(text)
@@ -440,15 +436,6 @@ class ModularMeadow(FiniteMeadow):
         if not 0 <= v < self.k:
             raise ValueError(f"{v} is outside the carrier 0..{self.k - 1}")
         return v
-
-
-def _crt_combine(components: Sequence[int], primes: Sequence[int]) -> int:
-    k = math.prod(primes)
-    x = 0
-    for c, p in zip(components, primes):
-        m = k // p
-        x += c * m * pow(m, p - 2, p)
-    return x % k
 
 
 class CrtDecomposition(_Record):
@@ -460,7 +447,12 @@ class CrtDecomposition(_Record):
         return tuple(x % p for p in self.primes)
 
     def from_components(self, components: Sequence[int]) -> int:
-        return _crt_combine(components, self.primes)
+        k = math.prod(self.primes)
+        x = 0
+        for c, p in zip(components, self.primes):
+            m = k // p
+            x += c * m * pow(m, p - 2, p)
+        return x % k
 
 
 def crt_decompose(k: int) -> CrtDecomposition:
@@ -491,8 +483,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int):
     a = list(a)
     _poly_trim(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], p - 2, p)
     quo = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
@@ -506,7 +496,8 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int):
 
 
 def _poly_inv_mod(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """Inverse of a modulo ``modulus`` in F_p[x] via the extended Euclid loop."""
+    """Inverse of a nonzero a of lower degree than the irreducible
+    ``modulus`` in F_p[x]: the extended Euclid loop ends at a constant gcd."""
     r0, r1 = list(modulus), _poly_trim(list(a))
     t0, t1 = [], [1]
     while r1:
@@ -516,8 +507,6 @@ def _poly_inv_mod(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]
             [(x - y) % p for x, y in itertools.zip_longest(
                 t0, _poly_mul(q, t1, p), fillvalue=0)]
         )
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
     scale = pow(r0[0], p - 2, p)
     return _poly_trim([(x * scale) % p for x in t0])
 

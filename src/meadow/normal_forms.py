@@ -103,7 +103,13 @@ class BasicTerm(_Record):
         return acc
 
     def q0_value(self) -> Fraction:
-        return sum((s.as_fraction() for s in self.summands), Fraction(0))
+        """Value in the rationals, merged left to right by
+        n/m + n'/m' = (n*m' + n'*m)/(m*m') and reduced once."""
+        num, den = 0, 1
+        for s in self.summands:
+            num = num * s.den + s.sign * s.num * den
+            den *= s.den
+        return Fraction(num, den)
 
 
 def _strip_shared(a: int, b: int) -> int:
@@ -325,23 +331,21 @@ def tidy(b: BasicTerm, finite_model=None) -> BasicTerm:
     Summands are sorted by (den, -sign, num); reordering is sound
     everywhere since addition is commutative and associative.  Each
     summand with gcd(num, den) > 1 is replaced by the reduced fraction
-    only if the replacement evaluates identically in the rationals and
-    in one finite model (default: the square-free modulus 6).  That
-    check is per-instance, not a proof: a reduction both checks accept
-    can still fail in some other model, which is why ``to_basic`` never
-    reduces.
+    only if the replacement evaluates identically in one finite model
+    (default: the square-free modulus 6); only a finite model can refuse,
+    since in the rationals the reduction is the same number.  That check
+    is per-instance, not a proof: a reduction it accepts can still fail
+    in some other model, which is why ``to_basic`` never reduces.
     """
-    from .models import mk, q0
+    from .models import mk
 
     finite = finite_model if finite_model is not None else mk(6)
-    rationals = q0()
     out = []
     for s in b.summands:
         g = math.gcd(s.num, s.den)
         if g > 1:
             reduced = SignedFraction(s.sign, s.num // g, s.den // g)
-            if all(s.eval_in(m) == reduced.eval_in(m)
-                   for m in (rationals, finite)):
+            if s.eval_in(finite) == reduced.eval_in(finite):
                 s = reduced
         out.append(s)
     out.sort(key=lambda f: (f.den, -f.sign, f.num))

@@ -98,17 +98,11 @@ def closed_to_simple_fraction_q0(p: Term) -> SimpleClosedFraction:
 def closed_to_simple_fraction_q0_via_basic(p: Term) -> SimpleClosedFraction:
     """Same result as closed_to_simple_fraction_q0, by a different route.
 
-    Folds the basic form left to right with the characteristic-zero
-    merge n/m + n'/m' = (n*m' + n'*m)/(m*m'), then reduces once at the
-    end.  Shipped as an independent path so the two implementations
-    audit each other in the tests.
+    The value of the basic form in the rationals (``BasicTerm.q0_value``),
+    which never evaluates p itself.  Shipped as an independent path so
+    the two implementations audit each other in the tests.
     """
-    basic = to_basic(p)
-    num, den = 0, 1
-    for s in basic.summands:
-        num = num * s.den + s.sign * s.num * den
-        den = den * s.den
-    return SimpleClosedFraction.from_fraction(Fraction(num, den))
+    return SimpleClosedFraction.from_fraction(to_basic(p).q0_value())
 
 
 class ExponentPair(_Record):

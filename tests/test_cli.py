@@ -738,7 +738,8 @@ def test_main_keeps_the_callers_digit_limit(capsys):
         assert sys.get_int_max_str_digits() == before
 
 
-@pytest.mark.parametrize("error", [KeyError, RecursionError])
+@pytest.mark.parametrize("error", [KeyError, RecursionError,
+                                   ZeroDivisionError])
 def test_internal_error_exits_70(capsys, monkeypatch, error):
     # exit 1 means Refuted; a defect says so and exits EX_SOFTWARE
     def broken(*args):

@@ -144,6 +144,15 @@ class TestCrt:
         for v in range(30):
             assert dec.from_components(dec.to_components(v)) == v
 
+    @pytest.mark.parametrize("k, primes", [
+        (6, (2, 3)), (2310, (2, 3, 5, 7, 11))], ids=str)
+    def test_decomposition_round_trips(self, k, primes):
+        dec = crt_decompose(k)
+        assert dec.primes == primes
+        assert [f.k for f in dec.factors] == list(primes)
+        for v in range(k):
+            assert dec.from_components(dec.to_components(v)) == v
+
     def test_division_matches_componentwise(self, m30):
         dec = crt_decompose(30)
         for a in range(30):
@@ -370,6 +379,14 @@ class TestGalois:
             if e == g9.zero:
                 continue
             assert g9.mul(e, g9.div(g9.one, e)) == g9.one
+
+    @pytest.mark.parametrize("p, n", [(2, 2), (5, 2), (3, 3), (2, 8)])
+    def test_field_inverses_over_other_fields(self, p, n):
+        g = gf(p, n)
+        for e in g.carrier:
+            if e == g.zero:
+                continue
+            assert g.mul(e, g.div(g.one, e)) == g.one
 
     def test_not_prime_rejected(self):
         with pytest.raises(NotPrimeError) as err:
