@@ -209,6 +209,10 @@ def _report_lines(model, report) -> list[str]:
     return lines
 
 
+def _summand_texts(s) -> list[list[str]]:
+    return [[print_term(n.to_term()), print_term(d.to_term())] for n, d in s]
+
+
 def _cmd_parse(args) -> int:
     t = parse_term(args.term, args.signature)
     printed = print_term(t)
@@ -275,10 +279,7 @@ def _cmd_simplify(args) -> int:
         s = to_sum_of_simple_fractions(t)
         printed = print_term(s.to_term())
         _emit(args, {"command": "simplify", "target": args.target,
-                     "summands": [[print_term(n.to_term()),
-                                   print_term(d.to_term())]
-                                  for n, d in s.summands],
-                     "result": printed},
+                     "summands": _summand_texts(s), "result": printed},
               [printed, f"summands: {len(s)}"])
         return 0
     if model.is_finite:
@@ -385,28 +386,22 @@ def _demo_finite_simple(line, data):
 
 def _demo_sum_of_fractions(line, data):
     single = parse_term("1/(1/x)")
-    s1 = to_sum_of_simple_fractions(single)
-    line(f"{print_term(single)}  ->  {print_term(s1.to_term())}")
+    data["single"] = print_term(to_sum_of_simple_fractions(single).to_term())
+    line(f"{print_term(single)}  ->  {data['single']}")
     double = parse_term("1/(1/x + 1/y)")
     s2 = to_sum_of_simple_fractions(double)
     line(f"{print_term(double)}  ->  {len(s2)} summands:")
-    for num, den in s2:
-        line(f"  ({print_term(num.to_term())}) / "
-             f"({print_term(den.to_term())})")
-    six = mk(6)
-    finite = check_eq(six, double, s2.to_term())
-    sampled = check_eq(q0(), double, s2.to_term(), Sampled(1000, 0))
+    data["double_summands"] = _summand_texts(s2)
+    for num, den in data["double_summands"]:
+        line(f"  ({num}) / ({den})")
+    rendered = s2.to_term()
+    finite = check_eq(mk(6), double, rendered)
+    sampled = check_eq(q0(), double, rendered, Sampled(1000, 0))
     line(f"mk:6 exhaustive: {_VERDICT_WORDS[finite.verdict]} "
          f"({finite.evaluations} assignments)")
     line(f"q0 sampled: {_VERDICT_WORDS[sampled.verdict]} "
          f"({sampled.evaluations} samples, seed {sampled.seed})")
-    data.update({
-        "single": print_term(s1.to_term()),
-        "double_summands": [[print_term(n.to_term()), print_term(d.to_term())]
-                            for n, d in s2],
-        "mk6_verdict": finite.verdict,
-        "q0_verdict": sampled.verdict,
-    })
+    data["mk6_verdict"], data["q0_verdict"] = finite.verdict, sampled.verdict
 
 
 def _demo_falsify_q0(line, data):

@@ -26,19 +26,20 @@ assignments, and tests them on an infinite model by deterministic
 seeded sampling.  A sweep gives each variable only the elements below
 the model's ``sweep_base``, which decide every assignment (for ``mk:k``
 the residues below k's largest prime, see ``ModularMeadow``); a report's
-``evaluations`` counts the size**n assignments decided.  While numpy is
-not loaded, a sweep of at most ``SMALL_SWEEP`` assignments folds them
-one by one, as sampling does, since importing numpy costs more.  Any
-other sweep is vectorized over the model's ``_sweep_ops``, numpy vectors
-of O(q) entries built (and numpy imported) on the first such sweep, in
-chunks of at most ``SWEEP_CHUNK`` assignments in lexicographic order; a
-variable with more values than that is swept in slices.  Over ``gf:p^n``
-the first variable takes only the least element of each orbit of
-x -> x**p, which keeps the least counterexample (``_first_values``).
-A sweep of more than ``MAX_ASSIGNMENTS`` is refused before either path
-runs, and a sampled check of more than ``MAX_SAMPLES`` draws before the
-first.  Finite carriers above ``MAX_CARRIER`` are refused before anything
-is built.  Reports are plain data and are reproducible: same model,
+``evaluations`` counts the size**n assignments decided.  The one
+assignment of a check with no variables, and while numpy is not loaded a
+sweep of at most ``SMALL_SWEEP``, are folded one by one, as sampling
+does, since the sweep ops and numpy cost more.  Any other sweep is
+vectorized over the model's ``_sweep_ops``, numpy vectors of O(q)
+entries built (and numpy imported) on the first such sweep, in chunks of
+at most ``SWEEP_CHUNK`` assignments in lexicographic order; a variable
+with more values than that is swept in slices.  Over ``gf:p^n`` the
+first variable takes only the least element of each orbit of x -> x**p,
+which keeps the least counterexample (``_first_values``).  A sweep of
+more than ``MAX_ASSIGNMENTS`` is refused before either path runs, and a
+sampled check of more than ``MAX_SAMPLES`` draws before the first.
+Finite carriers above ``MAX_CARRIER`` are refused before anything is
+built.  Reports are plain data and are reproducible: same model,
 equation, strategy and seed give the identical report.  Everything runs
 in one thread; determinism is part of the contract.
 """
@@ -470,8 +471,6 @@ def _poly_trim(c: list[int]) -> list[int]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -773,13 +772,14 @@ def _first_mismatch(model, sides, envs):
 
 
 def _sweeps_pointwise(count: int) -> bool:
-    # importing numpy for the sweep ops costs more than a small sweep
-    return count <= SMALL_SWEEP and "numpy" not in sys.modules
+    # every sweep_base is at least 2, so a count of 1 has no variables
+    return count == 1 or count <= SMALL_SWEEP and "numpy" not in sys.modules
 
 
 def _check_exhaustive(model, sides, names):
-    base, k = model.sweep_base, len(names)
+    k = len(names)
     swept, count = _sweep_size(model, k), model.size ** k
+    base = model.sweep_base
     if _sweeps_pointwise(swept):
         # a finite model computes on its elements, as _draw says
         witness = _first_mismatch(model, sides, (
@@ -838,20 +838,17 @@ def check_eq(model: MeadowModel, lhs: Term, rhs: Term,
     """Check lhs = rhs in the model.
 
     Default strategy: Exhaustive on finite models, Sampled() on infinite
-    ones.  Exhaustive verdicts are "valid" or "refuted" with the
-    lexicographically least counterexample (variables in sorted name
-    order); sampling yields "sampled_ok" or "refuted" with the first
-    failing draw.  Reports are deterministic for fixed inputs.
+    ones, where Exhaustive raises InfiniteExhaustiveError from ``size``
+    before anything runs.  Exhaustive verdicts are "valid" or "refuted"
+    with the lexicographically least counterexample (variables in sorted
+    name order); sampling yields "sampled_ok" or "refuted" with the
+    first failing draw.  Reports are deterministic for fixed inputs.
     """
     sides = _Pair(lhs, rhs)
     names = variables(sides)
     if strategy is None:
         strategy = Exhaustive() if model.is_finite else Sampled()
     if isinstance(strategy, Exhaustive):
-        if not model.is_finite:
-            raise InfiniteExhaustiveError(
-                f"cannot exhaust the carrier of {model.name}"
-            )
         return _check_exhaustive(model, sides, names)
     if isinstance(strategy, Sampled):
         return _check_sampled(model, sides, names, strategy)

@@ -26,10 +26,10 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import MixedSignatureError, NotRingTermError, OpenTermError
+from .errors import NotRingTermError, OpenTermError
 from .syntax import _RENDER, _join, _render_leaf
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, ZERO, _Record,
+    Add, Div, Inv, Mul, Neg, One, Term, ZERO, _Record, _require_divisive,
     contains_div, contains_inv, fold, is_closed, mk_numeral,
 )
 
@@ -64,14 +64,8 @@ class SignedFraction(_Record):
         return Neg(body) if self.sign < 0 else body
 
     def eval_in(self, model):
-        """Value of ``to_term()`` in ``model`` without building the term.
-
-        num and den can be astronomically large after a few nested
-        products; materializing them as numeral chains allocates one
-        node per unit, so evaluation goes through ``of_int`` directly.
-        """
-        body = model.div(model.of_int(self.num), model.of_int(self.den))
-        return model.neg(body) if self.sign < 0 else body
+        """Value of ``to_term()`` in ``model``, as a one-summand sum's."""
+        return BasicTerm((self,)).eval_in(model)
 
 
 class BasicTerm(_Record):
@@ -94,13 +88,19 @@ class BasicTerm(_Record):
         return acc
 
     def eval_in(self, model):
-        """Value of ``to_term()`` in ``model`` without building the term."""
-        if not self.summands:
-            return model.zero
-        acc = self.summands[0].eval_in(model)
-        for s in self.summands[1:]:
-            acc = model.add(acc, s.eval_in(model))
-        return acc
+        """Value of ``to_term()`` in ``model`` without building the term.
+
+        Its numerals can be too large to spell as chains, one node per
+        unit, so each goes through ``of_int``; the sum folds the model's
+        program ops and is lowered once.
+        """
+        ops = model._program_ops()
+        acc = ops.lift(model.zero)
+        for s in self.summands:
+            body = ops.div(ops.lift(model.of_int(s.num)),
+                           ops.lift(model.of_int(s.den)))
+            acc = ops.add(acc, ops.neg(body) if s.sign < 0 else body)
+        return ops.lower(acc)
 
     def q0_value(self) -> Fraction:
         """Value in the rationals, merged left to right by
@@ -218,23 +218,18 @@ def _basic_div(num: list, den: list) -> list:
     return _merge_kernels(product(_merge_kernels(num), inverse))
 
 
-def _no_inverse(arg):
-    raise MixedSignatureError("to_basic expects the binary-division "
-                              "signature; translate inv() away first")
-
-
 _BASIC = {
     Add: lambda left, right: left + right,
     Neg: lambda arg: [(-n, d) for n, d in arg],
     Mul: lambda left, right: _merge_kernels(
         product(_merge_kernels(left), _merge_kernels(right))),
     Div: _basic_div,
-    Inv: _no_inverse,
 }
 
 
 def to_basic(p: Term) -> BasicTerm:
-    """Basic form of a closed term in the division signature.
+    """Basic form of a closed term in the division signature; a term
+    with ``inv`` raises MixedSignatureError.
 
     The result evaluates identically to p in every shipped model.  Sums
     concatenate, negation flips signs, products multiply pairwise, and
@@ -250,6 +245,7 @@ def to_basic(p: Term) -> BasicTerm:
     """
     if not is_closed(p):
         raise OpenTermError("basic forms exist for closed terms only")
+    _require_divisive(p)
     pairs = fold(p, lambda node, n: [(n, 1)] if n else [], _BASIC)
     return BasicTerm(tuple(SignedFraction(1 if n > 0 else -1, abs(n), d)
                            for n, d in pairs))
@@ -319,9 +315,9 @@ def guard(r: Term) -> Term:
 
     Idempotent under product in every model, and absorbs into any
     context it multiplies: (r/r) * C[s] equals (r/r) * C[(r/r) * s].
+    An r with ``inv`` raises MixedSignatureError.
     """
-    if contains_inv(r):
-        raise MixedSignatureError("guards are built in the division signature")
+    _require_divisive(r)
     return Div(r, r)
 
 

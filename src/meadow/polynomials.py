@@ -119,11 +119,12 @@ class UniPoly(_Record):
         return acc
 
     def eval_in(self, model, value):
-        """Horner evaluation with the model's operations."""
-        acc = model.zero
+        """Horner evaluation with the model's program ops, lowered once."""
+        ops = model._program_ops()
+        x, acc = ops.lift(value), ops.lift(model.zero)
         for c in reversed(self.coeffs):
-            acc = model.add(model.mul(acc, value), model.of_int(c))
-        return acc
+            acc = ops.add(ops.mul(acc, x), ops.lift(model.of_int(c)))
+        return ops.lower(acc)
 
     def to_term(self) -> Term:
         """High-to-low sum of monomials, subtraction for negatives."""

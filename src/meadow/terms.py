@@ -15,7 +15,7 @@ and its plan stay alive until another term is planned.
 The plan keys each distinct node, and those keys define structural
 equality: ==, hash and pickling read them, so terms compare, serve as
 dictionary keys and pickle at any depth and in time linear in their
-distinct nodes.  Only repr walks on its own, with an explicit stack.
+distinct nodes.  Each record's repr walks on its own, with an explicit stack.
 Operators +, -, * and / are overloaded for convenience; they build
 trees, they never compute.
 """
@@ -52,8 +52,8 @@ class _Record:
     the value may not hold; classes without one pay no call.  A class's
     ``_defaults`` are the defaults of its trailing fields.  The base
     gives equality within one class, a hash consistent with it, the
-    field-by-field repr, positional class patterns, and pickling and
-    copying through the constructor.
+    field-by-field repr at any depth, positional class patterns, and
+    pickling and copying through the constructor.
     """
 
     __slots__ = ()
@@ -87,9 +87,21 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+        # field by field, with an explicit stack, so deep records print too
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+                continue
+            parts = []
+            for name in node.__slots__:
+                child = getattr(node, name)
+                parts += [", ", f"{name}=", child if isinstance(child, _Record)
+                          else repr(child)]
+            parts[:1] = [f"{node.__class__.__qualname__}("]
+            stack += reversed(parts + [")"])
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,25 +125,6 @@ class Term(_Record):
 
     def __hash__(self):
         return hash(tuple(_plan(self)[2]))
-
-    def __repr__(self):
-        # the field-by-field repr of _Record, built with an explicit stack
-        if self.__class__ not in _CHILDREN:
-            return _Record.__repr__(self)
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if node.__class__ is str:
-                out.append(node)
-                continue
-            parts = []
-            for name in node.__slots__:
-                child = getattr(node, name)
-                parts += [", " if parts else f"{node.__class__.__qualname__}(",
-                          f"{name}=", child if child.__class__ in _CHILDREN
-                          else repr(child)]
-            stack += reversed(parts + [")"])
-        return "".join(out)
 
     def __reduce__(self):
         # the keys name children by position, so pickling and copying

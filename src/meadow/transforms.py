@@ -27,8 +27,8 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    CarrierTooLargeError, InfiniteCarrierError, MixedSignatureError,
-    NoWitnessConstructedError, OpenTermError,
+    CarrierTooLargeError, InfiniteCarrierError, NoWitnessConstructedError,
+    OpenTermError,
 )
 from .models import eval_term, q0
 from .normal_forms import product, split_reciprocal, to_basic
@@ -36,7 +36,7 @@ from .polynomials import MultiPoly, _poly_term
 from .syntax import _MAX_LITERAL
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Record, _plan,
-    contains_inv, fold, is_closed, mk_numeral, power, wrap_as_fraction,
+    _require_divisive, fold, is_closed, mk_numeral, power, wrap_as_fraction,
 )
 
 __all__ = [
@@ -141,10 +141,6 @@ def eliminate_division(model, t: Term) -> Term:
     parser expands, x^100000, are refused with CarrierTooLargeError
     before anything is built.
     """
-    if not model.is_finite:
-        raise InfiniteCarrierError(
-            f"cannot eliminate division over {model.name}"
-        )
     pair = find_annihilating_exponents(model)
     e = 2 * (pair.n - pair.m) - 1
     if e > _MAX_LITERAL:
@@ -230,12 +226,9 @@ def to_sum_of_simple_fractions(t: Term) -> SumOfSimpleFractions:
     numerator polynomial cancels to zero, so no two summands of the
     result share a denominator.  Unlike denominators are never put over
     a common one: 1/x + 1/y = (x + y)/(x*y) fails in q0 at x = 0, y = 1.
+    A term with ``inv`` is refused with MixedSignatureError.
     """
-    if contains_inv(t):
-        raise MixedSignatureError(
-            "decomposition works on the binary-division signature; "
-            "translate inv() away first"
-        )
+    _require_divisive(t)
     one = MultiPoly.constant(1)
 
     def leaf(node: Term, n: int | None) -> list[tuple[MultiPoly, MultiPoly]]:

@@ -510,6 +510,10 @@ class TestEvalTerm:
             with pytest.raises(UnboundVariableError) as err:
                 eval_term(model, t, {"z": Fraction(1)})
             assert err.value.name == "y"
+        # an exhaustive check over q0 is refused by its size, before any op
+        with pytest.raises(InfiniteExhaustiveError,
+                           match="^q0 has an infinite carrier$"):
+            check_eq(Counting(), x, x, Exhaustive())
         assert calls == []
         assert eval_term(Counting(), t, {"x": 1, "y": Fraction(1, 2)}) == 1.5
         assert "add" in calls and "lower" in calls
@@ -531,6 +535,16 @@ class TestCheckEq:
         assert r.counterexample == {"x": 1, "y": 1}
         r = check_eq(g4, Mul(x, x), x)
         assert r.counterexample == {"x": (0, 1)}
+
+    @pytest.mark.parametrize("spec", ["gf:2^12", "mk:65537"])
+    def test_closed_equation_builds_no_sweep_vectors(self, spec):
+        # numpy is loaded, yet one assignment is folded pointwise
+        model = model_from_spec(spec)
+        assert check_eq(model, parse("1 + 1"), parse("2")) == \
+            CheckReport(VALID, None, 1)
+        assert check_eq(model, parse("1/0"), ONE) == \
+            CheckReport(REFUTED, {}, 1)
+        assert "_sweep_ops" not in vars(model)
 
     def test_scalar_sides_broadcast(self, m6):
         report = check_eq(m6, Mul(x, ZERO), ZERO)

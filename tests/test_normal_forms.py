@@ -50,7 +50,11 @@ class TestSignedFraction:
 
     def test_basic_term_eval_in(self):
         assert BasicTerm(()).eval_in(mk(6)) == 0
+        for model in (q0(), mk(6), model_from_spec("gf:2^2")):
+            zero = BasicTerm(()).eval_in(model)
+            assert zero == model.zero and type(zero) is type(model.zero)
         b = BasicTerm((SignedFraction(1, 1, 2), SignedFraction(-1, 1, 3)))
+        assert len(b) == 2
         for model in (q0(), mk(6), mk(7)):
             assert b.eval_in(model) == eval_term(model, b.to_term())
 

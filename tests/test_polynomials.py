@@ -64,6 +64,7 @@ class TestUniPoly:
     def test_eval_in_model(self, m6, g4):
         f = upoly(1, 1)
         assert f.eval_in(m6, 5) == 0
+        assert type(f.eval_in(q0(), Fraction(1, 2))) is Fraction
         a = g4.generator
         assert f.eval_in(g4, a) == g4.add(g4.one, a)
 

@@ -19,8 +19,9 @@ from meadow import (
     variables, wrap_as_fraction,
 )
 from meadow import (
-    closed_to_simple_fraction_q0, eval_term, gf, mk, parse, print_term, q0,
-    term_from_data, term_to_data, to_basic,
+    closed_to_simple_fraction_q0, eval_term, gf, guard, mk, parse,
+    print_term, q0, term_from_data, term_to_data, to_basic,
+    to_sum_of_simple_fractions,
 )
 from meadow import terms
 from meadow.terms import fold
@@ -233,6 +234,14 @@ def test_fraction_predicates():
     assert wrap_as_fraction(x) == Div(x, ONE)
     with pytest.raises(MixedSignatureError):
         is_fraction(Inv(x))
+
+
+def test_the_inverse_is_refused_by_one_guard():
+    for refuse in (guard, to_basic, to_sum_of_simple_fractions, is_fraction,
+                   is_simple_fraction, to_inversive):
+        with pytest.raises(MixedSignatureError) as err:
+            refuse(Inv(ONE))
+        assert str(err.value) == "term contains the unary inverse operator"
 
 
 def test_substitute():
