@@ -3,12 +3,13 @@
 Every subcommand is a thin wrapper over one library call; anything the
 CLI prints can be reproduced programmatically with the same arguments.
 Exit status: 0 for success (including Valid and SampledOk verdicts),
-1 when a check is Refuted (the counterexample is printed), 2 for usage
-or domain errors, and 70 (EX_SOFTWARE) for an internal error, which
-prints its traceback.  ``--format json`` emits one line of deterministic
-JSON (sorted keys, no whitespace) so reruns are byte-identical.  A term
-or equation given as ``-`` is read from stdin, which has no length cap.
-A reader that closes stdout early changes no exit status.
+1 when a check is Refuted (the counterexample is printed), 2 for a usage
+error or a MeadowError (one ``error:`` line), and 70 (EX_SOFTWARE) for
+any other exception, a defect, which prints its traceback.  ``--format
+json`` emits one line of deterministic JSON (sorted keys, no whitespace)
+so reruns are byte-identical.  A term or equation given as ``-`` is read
+from stdin, which has no length cap; the parser refuses a byte that is
+not UTF-8.  A reader that closes stdout early changes no exit status.
 """
 from __future__ import annotations
 
@@ -64,11 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="basic form or canonical polynomial")
     p.add_argument("term")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--basic", action="store_true",
-                       help="sum of signed numeral fractions (default)")
-    group.add_argument("--canonical", metavar="VAR",
-                       help="canonical polynomial in VAR")
+    p.add_argument("--canonical", metavar="VAR",
+                   help="canonical polynomial in VAR")
     common(p, _cmd_normalize, model=False)
 
     p = sub.add_parser("check", help="check an equation LHS = RHS in a model")
@@ -172,7 +170,7 @@ def _parse_assignment(model, items: list[str]) -> dict:
         for piece in item.split(","):
             name, sep, value = piece.partition("=")
             if not sep or not name.strip():
-                raise ValueError(f"bad --assign {piece!r}: expected NAME=VALUE")
+                raise MeadowError(f"bad --assign {piece!r}: expected NAME=VALUE")
             binding[name.strip()] = model.parse_element(value.strip())
     return binding
 
@@ -248,13 +246,12 @@ def _cmd_normalize(args) -> int:
         return 0
     basic = to_basic(t)
     printed = render_basic(basic)
-    compact = " ".join(f"{'+' if s.sign > 0 else '-'}{s.num}/{s.den}"
-                       for s in basic.summands) or "0"
+    summands = [{"sign": "+" if s.sign > 0 else "-", "num": s.num,
+                 "den": s.den} for s in basic.summands]
+    compact = " ".join("{sign}{num}/{den}".format(**s)
+                       for s in summands) or "0"
     _emit(args, {"command": "normalize", "mode": "basic",
-                 "summands": [{"sign": "+" if s.sign > 0 else "-",
-                               "num": s.num, "den": s.den}
-                              for s in basic.summands],
-                 "result": printed}, [compact, printed])
+                 "summands": summands, "result": printed}, [compact, printed])
     return 0
 
 
@@ -262,7 +259,7 @@ def _cmd_check(args) -> int:
     model = model_from_spec(args.model)
     lhs_text, sep, rhs_text = args.equation.partition("=")
     if not sep or "=" in rhs_text:
-        raise ValueError("equation must contain exactly one '='")
+        raise MeadowError("equation must contain exactly one '='")
     lhs = parse_term(lhs_text.strip())
     rhs = parse_term(rhs_text.strip())
     report = check_eq(model, lhs, rhs, _strategy_from(args, model))
@@ -442,9 +439,10 @@ def main(argv=None) -> int:
     try:
         for name in ("term", "equation", "f", "g"):
             if getattr(args, name, None) == "-":
+                sys.stdin.reconfigure(errors="surrogateescape")
                 setattr(args, name, sys.stdin.read())
         return args.handler(args)
-    except (MeadowError, ValueError) as exc:
+    except MeadowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

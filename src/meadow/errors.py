@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types: since x/0 = 0, every refusal is a MeadowError."""
 
 __all__ = [
     "MeadowError", "MixedSignatureError", "SignatureError", "ParseError",
@@ -9,8 +9,8 @@ __all__ = [
 ]
 
 
-class MeadowError(Exception):
-    """Base class for all domain errors raised by this package."""
+class MeadowError(ValueError):
+    """Base class of every refusal, the one the CLI maps to exit 2."""
 
 
 class MixedSignatureError(MeadowError):
@@ -77,8 +77,8 @@ class InfiniteExhaustiveError(MeadowError):
 
 
 class CarrierTooLargeError(MeadowError):
-    """A finite model, a sweep or rewrite over it, or a sampled check
-    would be too large."""
+    """Past a size bound: a finite model, a sweep or rewrite over it, a
+    sampled check, or a term's printed text or JSON tree."""
 
 
 class InfiniteCarrierError(MeadowError):

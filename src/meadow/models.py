@@ -57,8 +57,9 @@ from math import gcd
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import (
-    CarrierTooLargeError, InfiniteExhaustiveError, NonSquareFreeError,
-    NotPrimeError, ParseError, SignatureError, UnboundVariableError,
+    CarrierTooLargeError, InfiniteExhaustiveError, MeadowError,
+    NonSquareFreeError, NotPrimeError, ParseError, SignatureError,
+    UnboundVariableError,
 )
 from .terms import (
     Add, Div, Inv, Mul, Neg, Term, Var, ZERO, ONE, _Pair, _Record, _plan,
@@ -97,7 +98,7 @@ class Sampled(_Record):
 
     def _validate(self):
         if self.count < 1:
-            raise ValueError(
+            raise MeadowError(
                 f"sample count must be at least 1, got {self.count}")
         if self.count > MAX_SAMPLES:
             raise CarrierTooLargeError(
@@ -208,8 +209,8 @@ class FiniteMeadow(MeadowModel):
         return np.arange(self.sweep_base)
 
 
-def _not_an_element(model: MeadowModel, text: str) -> ValueError:
-    return ValueError(f"{text!r} is not an element of {model.name}")
+def _not_an_element(model: MeadowModel, text: str) -> MeadowError:
+    return MeadowError(f"{text!r} is not an element of {model.name}")
 
 
 class ProgramOps(NamedTuple):
@@ -278,8 +279,8 @@ class RationalMeadow(MeadowModel):
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         if (len(digits) > len(str(_MAX_LITERAL))
                 or int(digits or 0) > _MAX_LITERAL):
-            raise ValueError(f"the exponent of {text!r} is too large"
-                             f" (limit {_MAX_LITERAL})")
+            raise MeadowError(f"the exponent of {text!r} is too large"
+                              f" (limit {_MAX_LITERAL})")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -362,7 +363,7 @@ _PAIR_OPS = ProgramOps(
 def _square_free_primes(k: int) -> tuple[int, ...]:
     """Prime factors of k; NonSquareFreeError if one of them repeats."""
     if k < 2:
-        raise ValueError("modulus must be at least 2")
+        raise MeadowError("modulus must be at least 2")
     primes, rest, d = [], k, 2
     while d * d <= rest:
         if rest % d == 0:
@@ -435,7 +436,7 @@ class ModularMeadow(FiniteMeadow):
         except ValueError:
             raise _not_an_element(self, text) from None
         if not 0 <= v < self.k:
-            raise ValueError(f"{v} is outside the carrier 0..{self.k - 1}")
+            raise MeadowError(f"{v} is outside the carrier 0..{self.k - 1}")
         return v
 
 
@@ -560,7 +561,7 @@ class GaloisMeadow(FiniteMeadow):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise NotPrimeError(p)
         if n < 1:
-            raise ValueError("extension degree must be at least 1")
+            raise MeadowError("extension degree must be at least 1")
         self.name = f"gf:{p}^{n}"
         self.p = p
         self.n = n
@@ -689,8 +690,8 @@ def model_from_spec(spec: str) -> MeadowModel:
         return q0()
     match = re.fullmatch(r"mk:([-+]?\d+)|gf:([-+]?\d+)\^([-+]?\d+)", spec)
     if not match:
-        raise ValueError(f"bad model specifier {spec!r}: "
-                         "expected q0, mk:<k> or gf:<p>^<n>")
+        raise MeadowError(f"bad model specifier {spec!r}: "
+                          "expected q0, mk:<k> or gf:<p>^<n>")
     k, p, n = match.groups()
     return mk(int(k)) if k is not None else gf(int(p), int(n))
 

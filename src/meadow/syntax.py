@@ -28,7 +28,7 @@ wrong one raises SignatureError rather than ParseError.
 """
 from __future__ import annotations
 
-from .errors import ParseError, SignatureError
+from .errors import CarrierTooLargeError, ParseError, SignatureError
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
     fold, mk_numeral, power,
@@ -244,11 +244,11 @@ _RENDER = {
 
 
 def _join(r) -> str:
-    """The text of a rendered subterm; ValueError, as for an int past
-    CPython's digit limit, when it is longer than _MAX_PRINTED."""
+    """A rendered subterm's text; CarrierTooLargeError past _MAX_PRINTED."""
     if r[3] > _MAX_PRINTED:
-        raise ValueError(f"the term's text has {r[3]} characters, more "
-                         f"than the {_MAX_PRINTED} that printing spells out")
+        raise CarrierTooLargeError(
+            f"the term's text has {r[3]} characters, more than the "
+            f"{_MAX_PRINTED} that printing spells out")
     out, stack = [], [r[1]]
     while stack:
         text = stack.pop()
@@ -265,8 +265,8 @@ def print_term(t: Term) -> str:
     Round-trips: parse(print_term(t)) is structurally equal to t, with
     numeral subtrees re-sugared to integer literals.  No parenthesis pair
     in the output can be dropped without changing the parse.  A text
-    longer than _MAX_PRINTED is refused with ValueError before any of
-    it is built.
+    longer than _MAX_PRINTED is refused with CarrierTooLargeError before
+    any of it is built.
     """
     return _join(fold(t, _render_leaf, _RENDER))
 
@@ -310,13 +310,14 @@ def term_to_data(t: Term):
     Structurally equal subterms are encoded as one shared dict.  The
     fold carries the length of each dict's JSON text, which sharing can
     make exponential in the term's distinct nodes, so a tree whose text
-    is longer than _MAX_PRINTED is refused with ValueError, as printing
-    refuses one.
+    is longer than _MAX_PRINTED is refused with CarrierTooLargeError, as
+    printing refuses one.
     """
     data, size = fold(t, _data_leaf, _DATA)
     if size > _MAX_PRINTED:
-        raise ValueError(f"the term's JSON tree has {size} characters, more "
-                         f"than the {_MAX_PRINTED} that encoding spells out")
+        raise CarrierTooLargeError(
+            f"the term's JSON tree has {size} characters, more than the "
+            f"{_MAX_PRINTED} that encoding spells out")
     return data
 
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from meadow import BasicTerm, Sampled, cli, eval_term, mk, q0
 from meadow.cli import main
+from meadow.errors import MeadowError
 from meadow.models import GaloisMeadow, ModularMeadow
 
 
@@ -738,8 +740,98 @@ def test_main_keeps_the_callers_digit_limit(capsys):
         assert sys.get_int_max_str_digits() == before
 
 
+_SIZE_BOUND = f"more than the {1 << 24} that"
+
+# Refusals the command line reaches, each with the one line it prints.
+_REFUSALS = [
+    (["check", "x = x", "--samples", "0"],
+     "sample count must be at least 1, got 0"),
+    (["eval", "x", "--assign", "x=1e999999999"],
+     "the exponent of '1e999999999' is too large (limit 100000)"),
+    (["eval", "x", "--assign", "x=1/0"], "'1/0' is not an element of q0"),
+    (["eval", "x", "--assign", "x=q", "--model", "mk:5"],
+     "'q' is not an element of mk:5"),
+    (["eval", "x", "--assign", "x=7", "--model", "mk:5"],
+     "7 is outside the carrier 0..4"),
+    (["eval", "x", "--assign", "x=b", "--model", "gf:2^2"],
+     "'b' is not an element of gf:2^2"),
+    (["eval", "1", "--model", "mk:1"], "modulus must be at least 2"),
+    (["eval", "1", "--model", "mk:0"], "modulus must be at least 2"),
+    (["eval", "1", "--model", "gf:2^0"],
+     "extension degree must be at least 1"),
+    (["eval", "1", "--model", "zz"],
+     "bad model specifier 'zz': expected q0, mk:<k> or gf:<p>^<n>"),
+    (["eval", "x", "--assign", "x"],
+     "bad --assign 'x': expected NAME=VALUE"),
+    (["check", "x"], "equation must contain exactly one '='"),
+    (["check", "x = y = z"], "equation must contain exactly one '='"),
+    (["parse", "(x^1000)^1000", "--format", "json"],
+     f"the term's JSON tree has 56045014 characters, {_SIZE_BOUND} "
+     "encoding spells out"),
+    (["check", "((x^1000)^1000)^1000 = x", "--model", "mk:7",
+      "--format", "json"],
+     f"the term's text has 2004004001 characters, {_SIZE_BOUND} "
+     "printing spells out"),
+    (["eval", "1", "--model", "mk:4"],
+     "4 is not square-free: Z/4Z carries no total division"),
+    (["eval", "1", "--model", "gf:4^1"], "4 is not prime"),
+    (["eval", "1", "--model", "mk:99999999977"],
+     "mk:99999999977 has 99999999977 elements, more than the 1048576 "
+     "that a finite model is built with"),
+    (["eval", "x"], "no value assigned to variable 'x'"),
+    (["check", "x = x", "--strategy", "exhaustive"],
+     "q0 has an infinite carrier"),
+    (["check", "a*b*c*d*e*f = f*e*d*c*b*a", "--model", "gf:2^8"],
+     f"gf:2^8 has 256 elements, so 6 variables give {256 ** 6} "
+     f"assignments, more than the {1 << 30} that exhaustive checking "
+     "sweeps: check by sampling instead (--strategy sampled --samples N)"),
+    (["check", "x = x", "--samples", "99999999"],
+     "99999999 samples are more than the 1048576 that a sampled check "
+     "draws"),
+    (["parse", "x +"], "expected an integer, identifier or '(', "
+     "found 'end of input' at line 1, column 4"),
+    (["eval", "inv(x)"],
+     "'inv' is not part of the divisive signature (line 1, column 1)"),
+    (["normalize", "x"], "basic forms exist for closed terms only"),
+    (["normalize", "1/x", "--canonical", "x"],
+     "polynomials are division-free"),
+    (["simplify", "1/x", "--model", "gf:2^20"],
+     "gf:2^20 rewrites 1/x as x^2097149, a power above the x^100000 "
+     "that the parser expands"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in _REFUSALS])
+def test_refusal_exits_2_with_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_every_refusal_is_a_value_error():
+    # so callers that catch ValueError keep catching each refusal
+    assert issubclass(MeadowError, ValueError)
+
+
+def test_undecodable_stdin_is_refused_by_the_parser():
+    # under a strict UTF-8 stdin the byte reaches the parser as U+DCFF
+    proc = subprocess.run([sys.executable, "-m", "meadow", "parse", "-"],
+                          input=b"\xff", capture_output=True, timeout=20,
+                          env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: unexpected character '\\udcff' at line 1, "
+        b"column 1\n")
+
+
+def test_normalize_has_no_basic_option(capsys):
+    # the basic form is what normalize prints without --canonical
+    with pytest.raises(SystemExit) as exit_:
+        main(["normalize", "--basic", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --basic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [KeyError, RecursionError,
-                                   ZeroDivisionError])
+                                   ZeroDivisionError, ValueError])
 def test_internal_error_exits_70(capsys, monkeypatch, error):
     # exit 1 means Refuted; a defect says so and exits EX_SOFTWARE
     def broken(*args):
