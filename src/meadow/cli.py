@@ -22,10 +22,10 @@ from .models import (
     Exhaustive, Sampled, REFUTED, SAMPLED_OK, VALID,
     characteristic, check_eq, eval_term, gf, mk, model_from_spec, q0,
 )
-from .normal_forms import render_basic, render_quotient, to_basic
+from .normal_forms import to_basic
 from .polynomials import to_canonical
 from .syntax import parse as parse_term
-from .syntax import print_term, term_to_data
+from .syntax import print_result, print_term, term_to_data
 from .terms import Term, ZERO, mk_numeral, substitute
 from .transforms import (
     claim_sides, closed_to_simple_fraction_q0, falsify_simple_fraction_claim,
@@ -109,10 +109,11 @@ _OPEN_DICT, _CLOSE_DICT, _OPEN_LIST, _CLOSE_LIST, _COMMA = map(_Json, "{}[],")
 
 def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, separators=(",", ":")), with an
-    explicit stack so deep term trees encode like shallow ones.  A term
-    encodes as its text, built only here, since that can take long.
-    Each key set's labels and each scalar are encoded once per call, the
-    scalars keyed by type and value so that True, 1 and 1.0 stay apart;
+    explicit stack so deep term trees encode like shallow ones.  A term,
+    or a result with a ``to_term``, encodes as its text, built only here,
+    since that can take long.
+    Each key set's labels and each scalar or result are encoded once per
+    call, keyed by type and value so that True, 1 and 1.0 stay apart;
     floats are not kept, since -0.0 == 0.0."""
     import json  # here, since most commands print text
     labels: dict[tuple, list] = {}   # a dict's keys -> sorted (key, label)
@@ -144,7 +145,8 @@ def _dumps(value) -> str:
         else:
             text = scalars.get((cls, v))
             if text is None:
-                text = scalars[cls, v] = json.dumps(v)
+                text = scalars[cls, v] = json.dumps(
+                    print_result(v) if hasattr(v, "to_term") else v)
             out.append(text)
     return "".join(out)
 
@@ -207,15 +209,12 @@ def _report_lines(model, report) -> list[str]:
     return lines
 
 
-def _summand_texts(s) -> list[list[str]]:
-    return [[print_term(n.to_term()), print_term(d.to_term())] for n, d in s]
-
-
 def _cmd_parse(args) -> int:
     t = parse_term(args.term, args.signature)
-    printed = print_term(t)
-    # the tree is built only for JSON, the one output that shows it
+    # the tree is built only for JSON, the one output that shows it, and
+    # first, since it refuses an oversized term sooner than printing does
     tree = term_to_data(t) if args.format == "json" else None
+    printed = print_term(t)
     _emit(args, {"command": "parse", "input": args.term, "term": printed,
                  "tree": tree}, [printed])
     return 0
@@ -238,14 +237,14 @@ def _cmd_normalize(args) -> int:
     t = parse_term(args.term)
     if args.canonical:
         poly = to_canonical(t, args.canonical)
-        printed = print_term(poly.to_term())
+        printed = print_result(poly)
         _emit(args, {"command": "normalize", "mode": "canonical",
                      "variable": poly.variable,
                      "coefficients": list(poly.coeffs),
                      "result": printed}, [printed])
         return 0
     basic = to_basic(t)
-    printed = render_basic(basic)
+    printed = print_result(basic)
     summands = [{"sign": "+" if s.sign > 0 else "-", "num": s.num,
                  "den": s.den} for s in basic.summands]
     compact = " ".join("{sign}{num}/{den}".format(**s)
@@ -274,9 +273,9 @@ def _cmd_simplify(args) -> int:
     t = parse_term(args.term)
     if args.target == "sum-of-fractions":
         s = to_sum_of_simple_fractions(t)
-        printed = print_term(s.to_term())
+        printed = print_result(s)
         _emit(args, {"command": "simplify", "target": args.target,
-                     "summands": _summand_texts(s), "result": printed},
+                     "summands": s.summands, "result": printed},
               [printed, f"summands: {len(s)}"])
         return 0
     if model.is_finite:
@@ -295,9 +294,7 @@ def _cmd_simplify(args) -> int:
                  "model": model.name,
                  "sign": "+" if fraction.sign > 0 else "-",
                  "num": fraction.num, "den": fraction.den,
-                 "term": render_quotient(fraction.sign * fraction.num,
-                                         fraction.den),
-                 "result": compact}, [compact])
+                 "term": fraction, "result": compact}, [compact])
     return 0
 
 
@@ -309,10 +306,9 @@ def _cmd_falsify(args) -> int:
     lines = [f"witness: {witness}",
              f"1 + 1/x at witness: {lhs_val}",
              f"f/g at witness: {rhs_val}"]
-    _emit(args, {"command": "falsify", "f": print_term(f.to_term()),
-                 "g": print_term(g.to_term()), "witness": str(witness),
-                 "lhs_value": str(lhs_val), "rhs_value": str(rhs_val)},
-          lines)
+    _emit(args, {"command": "falsify", "f": f, "g": g,
+                 "witness": str(witness), "lhs_value": str(lhs_val),
+                 "rhs_value": str(rhs_val)}, lines)
     return 0
 
 
@@ -383,12 +379,13 @@ def _demo_finite_simple(line, data):
 
 def _demo_sum_of_fractions(line, data):
     single = parse_term("1/(1/x)")
-    data["single"] = print_term(to_sum_of_simple_fractions(single).to_term())
+    data["single"] = print_result(to_sum_of_simple_fractions(single))
     line(f"{print_term(single)}  ->  {data['single']}")
     double = parse_term("1/(1/x + 1/y)")
     s2 = to_sum_of_simple_fractions(double)
     line(f"{print_term(double)}  ->  {len(s2)} summands:")
-    data["double_summands"] = _summand_texts(s2)
+    data["double_summands"] = [[print_result(n), print_result(d)]
+                               for n, d in s2]
     for num, den in data["double_summands"]:
         line(f"  ({num}) / ({den})")
     rendered = s2.to_term()
@@ -439,6 +436,8 @@ def main(argv=None) -> int:
     try:
         for name in ("term", "equation", "f", "g"):
             if getattr(args, name, None) == "-":
+                if sys.stdin is None:   # file descriptor 0 is closed
+                    raise MeadowError("no standard input to read from")
                 sys.stdin.reconfigure(errors="surrogateescape")
                 setattr(args, name, sys.stdin.read())
         return args.handler(args)

@@ -27,7 +27,6 @@ import math
 from fractions import Fraction
 
 from .errors import NotRingTermError, OpenTermError
-from .syntax import _RENDER, _join, _render_leaf
 from .terms import (
     Add, Div, Inv, Mul, Neg, One, Term, ZERO, _Record, _require_divisive,
     contains_div, contains_inv, fold, is_closed, mk_numeral,
@@ -35,7 +34,7 @@ from .terms import (
 
 __all__ = [
     "SignedFraction", "BasicTerm",
-    "to_basic", "is_basic_term", "render_basic", "render_quotient",
+    "to_basic", "is_basic_term",
     "split_reciprocal", "product",
     "cr_normal", "guard", "tidy",
 ]
@@ -59,8 +58,9 @@ class SignedFraction(_Record):
         """Value in the rationals; other characteristics may disagree."""
         return Fraction(self.sign * self.num, self.den)
 
-    def to_term(self) -> Term:
-        body = Div(mk_numeral(self.num), mk_numeral(self.den))
+    def to_term(self, numeral=mk_numeral) -> Term:
+        """-(n/m) or n/m, each integer spelled by ``numeral``."""
+        body = Div(numeral(self.num), numeral(self.den))
         return Neg(body) if self.sign < 0 else body
 
     def eval_in(self, model):
@@ -79,13 +79,12 @@ class BasicTerm(_Record):
     def __len__(self):
         return len(self.summands)
 
-    def to_term(self) -> Term:
+    def to_term(self, numeral=mk_numeral) -> Term:
+        """The summands added left to right, 0 for none; ``numeral(n)``
+        builds each integer's term, a chain unless ``print_result`` asks."""
         if not self.summands:
             return ZERO
-        acc = self.summands[0].to_term()
-        for s in self.summands[1:]:
-            acc = Add(acc, s.to_term())
-        return acc
+        return functools.reduce(Add, [s.to_term(numeral) for s in self])
 
     def eval_in(self, model):
         """Value of ``to_term()`` in ``model`` without building the term.
@@ -274,26 +273,6 @@ def is_basic_term(t: Term) -> bool:
     shape = fold(t, lambda node, n: None if isinstance(node, One) else n,
                  _SHAPE)
     return shape in _BASIC_SHAPES
-
-
-def _quotient(num: int, den: int, sign: int = 1):
-    q = _RENDER[Div](_render_leaf(None, num), _render_leaf(None, den))
-    return _RENDER[Neg](q) if sign < 0 else q
-
-
-def render_quotient(num: int, den: int) -> str:
-    """The text print_term(Div(mk_numeral(num), mk_numeral(den))), den >= 1.
-
-    Numerator and denominator cost their digits here, where the term
-    would spell each as a numeral chain with one node per unit.
-    """
-    return _join(_quotient(num, den))
-
-
-def render_basic(b: BasicTerm) -> str:
-    """The text print_term(b.to_term()), spelled from the summands."""
-    parts = [_quotient(s.num, s.den, s.sign) for s in b.summands]
-    return _join(functools.reduce(_RENDER[Add], parts)) if parts else "0"
 
 
 def cr_normal(p: Term) -> int:

@@ -18,6 +18,7 @@ sustain, which is the lever several demonstrations use.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -34,11 +35,6 @@ __all__ = [
     "degree_over", "non_trivial_over", "constant_over", "roots_over",
     "annihilator", "verified_annihilator",
 ]
-
-
-def _const_term(n: int) -> Term:
-    # positive constants in rendered polynomials; 1 prints as "1"
-    return ONE if n == 1 else mk_numeral(n)
 
 
 class UniPoly(_Record):
@@ -126,11 +122,12 @@ class UniPoly(_Record):
             acc = ops.add(ops.mul(acc, x), ops.lift(model.of_int(c)))
         return ops.lower(acc)
 
-    def to_term(self) -> Term:
-        """High-to-low sum of monomials, subtraction for negatives."""
+    def to_term(self, numeral=mk_numeral) -> Term:
+        """High-to-low sum of monomials, subtraction for negatives; each
+        coefficient's term is built as in ``MultiPoly.to_term``."""
         return MultiPoly.from_dict({
             ((self.variable, i),) if i else (): c
-            for i, c in enumerate(self.coeffs)}).to_term()
+            for i, c in enumerate(self.coeffs)}).to_term(numeral)
 
 
 def to_canonical(t: Term, var: str) -> UniPoly:
@@ -322,14 +319,17 @@ class MultiPoly(_Record):
             total += v
         return total
 
-    def to_term(self) -> Term:
-        return _poly_term(self, {})
+    def to_term(self, numeral=mk_numeral) -> Term:
+        """The term; ``numeral(n)`` builds each coefficient's term, a
+        chain unless ``print_result`` asks."""
+        return _poly_term(self, {}, numeral)
 
 
-def _poly_term(poly: MultiPoly, shared: dict) -> Term:
-    """poly as a term.  Its coefficient numerals, variable powers and the
-    whole term are taken from ``shared``, or built and added there, so
-    renderings that share the dict share those subterm objects."""
+def _poly_term(poly: MultiPoly, shared: dict, numeral) -> Term:
+    """poly as a term, each coefficient's integer built by ``numeral``.
+    Its coefficient numerals, variable powers and the whole term are
+    taken from ``shared``, or built and added there, so renderings that
+    share the dict share those subterm objects."""
     if poly.is_zero:
         return ZERO
     if poly in shared:
@@ -339,16 +339,14 @@ def _poly_term(poly: MultiPoly, shared: dict) -> Term:
         factors: list[Term] = []
         if abs(c) != 1 or not m:
             if abs(c) not in shared:
-                shared[abs(c)] = _const_term(abs(c))
+                # a constant 1 prints as "1", where numeral(1) is 0 + 1
+                shared[abs(c)] = ONE if abs(c) == 1 else numeral(abs(c))
             factors.append(shared[abs(c)])
         for v, e in m:
             factors.append(_shared_power(v, e, shared))
-        mono = factors[0]
-        for factor in factors[1:]:
-            mono = Mul(mono, factor)
+        mono = functools.reduce(Mul, factors)
         signed = Neg(mono) if c < 0 else mono
         acc = signed if acc is None else Add(acc, signed)
-    assert acc is not None
     shared[poly] = acc
     return acc
 

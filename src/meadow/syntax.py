@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from .errors import CarrierTooLargeError, ParseError, SignatureError
 from .terms import (
-    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE,
+    Add, Div, Inv, Mul, Neg, One, Term, Var, ZERO, ONE, _Num,
     fold, mk_numeral, power,
 )
 
 __all__ = [
-    "parse", "print_term", "term_to_data", "term_from_data",
+    "parse", "print_term", "print_result", "term_to_data", "term_from_data",
 ]
 
 # Expanding a literal n builds a tree with n nodes; past this bound the
@@ -269,6 +269,14 @@ def print_term(t: Term) -> str:
     any of it is built.
     """
     return _join(fold(t, _render_leaf, _RENDER))
+
+
+def print_result(x) -> str:
+    """print_term(x.to_term()) for a result x that carries integers (a
+    basic form, a closed fraction, a polynomial, a sum of fractions), at
+    the cost of their digits: each is built as one leaf that prints as
+    its numeral chain, which would have a node per unit."""
+    return print_term(x.to_term(numeral=_Num))
 
 
 def _frame(kind: str, fields) -> int:

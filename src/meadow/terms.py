@@ -190,6 +190,15 @@ class Inv(Term):
     __slots__ = ("arg",)
 
 
+class _Num(Term):
+    """The integer ``value`` as one leaf, which ``fold`` and the plan's
+    keys take for ``mk_numeral(value)``; only printing builds it, so a
+    large integer's text costs its digits, not one node per unit."""
+
+    __slots__ = ("value",)
+    __reduce__ = _Record.__reduce__     # as itself, not as its chain
+
+
 class _Pair:
     """Two terms planned as one, so their equal subterms fold once."""
 
@@ -307,9 +316,9 @@ def fold(t: Term, leaf: Callable[[Term, int | None], Any],
     """Structural induction over t, bottom-up and without recursion.
 
     ``leaf(node, n)`` folds a leaf: a numeral chain, handed over whole,
-    or the constant 1, with n the integer it denotes, or a variable, with
-    n None.  ``ops[type(node)]`` folds any other node from its children's
-    folds, in field order.  Numerals are found in linear time.
+    the integer leaf of a printed result, or the constant 1, with n the
+    integer it denotes, or a variable, with n None.  ``ops[type(node)]``
+    folds any other node from its children's folds, in field order.  Numerals are found in linear time.
     Structurally equal subterms are folded once, equal leaves as the
     first of them, and each folded value is dropped after its last use.
     Folds of the same object back to back walk it once, and a check that
@@ -402,16 +411,18 @@ def _walk(t: Term, slot: tuple) -> tuple[list, dict, dict]:
             # a variable named by other than a string is no term: its key
             # could equal a numeral's or be a term itself
             if n is None and (cls is not Var or node.name.__class__ is not str):
-                if cls not in _CHILDREN:
+                if cls in _CHILDREN:
+                    kids = _CHILDREN[cls](node)
+                    stack.append((node, kids))
+                    if len(kids) == 2:
+                        stack.append((kids[1], False))
+                    first = kids[0]
+                    stack.append((first, flag and first.__class__ is Add
+                                  and first.right.__class__ is One))
+                    continue
+                if cls is not _Num:
                     raise TypeError(f"not a term: {node!r}")
-                kids = _CHILDREN[cls](node)
-                stack.append((node, kids))
-                if len(kids) == 2:
-                    stack.append((kids[1], False))
-                first = kids[0]
-                stack.append((first, flag and first.__class__ is Add
-                              and first.right.__class__ is One))
-                continue
+                n = node.value
             entry = None, node, n
             key = node.name if n is None else One if cls is One else n
         i = where[id(node)] = index.setdefault(key, len(plan))

@@ -23,6 +23,7 @@ Four constructions live here:
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -79,8 +80,9 @@ class SimpleClosedFraction(_Record):
     def as_fraction(self) -> Fraction:
         return Fraction(self.sign * self.num, self.den)
 
-    def to_term(self) -> Term:
-        return Div(mk_numeral(self.sign * self.num), mk_numeral(self.den))
+    def to_term(self, numeral=mk_numeral) -> Term:
+        """(+-n)/m, each integer spelled by ``numeral``."""
+        return Div(numeral(self.sign * self.num), numeral(self.den))
 
 
 def closed_to_simple_fraction_q0(p: Term) -> SimpleClosedFraction:
@@ -181,19 +183,17 @@ class SumOfSimpleFractions(_Record):
     def __len__(self):
         return len(self.summands)
 
-    def to_term(self) -> Term:
-        """The sum as one term.  Its summands share one object per
+    def to_term(self, numeral=mk_numeral) -> Term:
+        """The sum as one term, coefficients built as in
+        ``MultiPoly.to_term``.  Its summands share one object per
         distinct coefficient numeral, variable power and polynomial, so
         ``fold`` walks each of those once."""
         if not self.summands:
             return ZERO
         shared: dict = {}
-        parts = [Div(_poly_term(n, shared), _poly_term(d, shared))
-                 for n, d in self.summands]
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = Add(acc, part)
-        return acc
+        return functools.reduce(Add, [
+            Div(_poly_term(n, shared, numeral), _poly_term(d, shared, numeral))
+            for n, d in self.summands])
 
 
 def _merge_equal_denominators(pairs: list) -> list:

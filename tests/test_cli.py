@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from meadow import BasicTerm, Sampled, cli, eval_term, mk, q0
+from meadow import BasicTerm, Sampled, cli, eval_term, mk, print_result, q0
 from meadow.cli import main
 from meadow.errors import MeadowError
 from meadow.models import GaloisMeadow, ModularMeadow
@@ -566,20 +566,67 @@ def test_closed_stdout_changes_no_exit_code(equation, code):
     assert (proc.returncode, err) == (code, b"")
 
 
-@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
-                   reason="numerals are unary chains, so 2^40 builds 2^40 "
-                          "nodes; ROADMAP direction 2 (an integer leaf)")
-@pytest.mark.parametrize("argv", [
-    ["normalize", "2^40*x", "--canonical", "x"],
-    ["normalize", "(x+1)^40", "--canonical", "x"],
-    ["simplify", "2^40/x", "--target", "sum-of-fractions"],
-    ["falsify", "x + 2^40", "x"],
-])
-def test_large_coefficients_answer(argv):
+_LARGE_COEFFICIENTS = [
+    (["normalize", "2^40*x", "--canonical", "x"], 2),
+    (["normalize", "(x+1)^40", "--canonical", "x"], 2),
+    (["simplify", "2^40/x", "--target", "sum-of-fractions"], 2),
+    (["falsify", "x + 2^40", "x"], 2),
+    (["falsify", "(x+1)^100", "x"], 2),
+    # the decomposition alone takes 1.6-2.4 s on 2 cores
+    (["simplify", "(x+1)^1000/x", "--target", "sum-of-fractions"], 20),
+]
+
+
+@pytest.mark.parametrize("argv, seconds", _LARGE_COEFFICIENTS,
+                         ids=[" ".join(argv) for argv, _ in
+                              _LARGE_COEFFICIENTS])
+def test_large_coefficients_answer(argv, seconds):
+    # each coefficient prints in its digits, where a numeral chain would
+    # build 2^40 nodes
     proc = subprocess.run([sys.executable, "-m", "meadow", *argv],
-                          capture_output=True, text=True, timeout=2)
-    assert proc.returncode in (0, 1, 2)
-    assert "Traceback" not in proc.stderr
+                          capture_output=True, text=True, timeout=seconds)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["normalize", "2^40*x", "--canonical", "x"], "1099511627776*x\n"),
+    (["falsify", "x + 2^40", "x", "--format", "json"],
+     '{"command":"falsify","f":"x + 1099511627776","g":"x",'
+     '"lhs_value":"1","rhs_value":"0","witness":"0"}\n'),
+    (["simplify", "2^40/x", "--target", "sum-of-fractions", "--format",
+      "json"],
+     '{"command":"simplify","result":"1099511627776/x",'
+     '"summands":[["1099511627776","x"]],"target":"sum-of-fractions"}\n'),
+], ids=["text", "falsify json", "simplify json"])
+def test_large_coefficients_are_spelled_in_digits(capsys, argv, out):
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
+def test_oversized_tree_is_refused_before_printing(capsys, monkeypatch):
+    # term_to_data refuses the tree faster than the 2 004 001 characters
+    # of its text are built
+    def no_print(t):
+        raise AssertionError("printed")
+    monkeypatch.setattr("meadow.cli.print_term", no_print)
+    code, out, err = run_cli(capsys, "parse", "(x^1000)^1000", "--format",
+                             "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the term's JSON tree has ")
+
+
+@pytest.mark.parametrize("fmt, prints", [("text", 1), ("json", 1 + 2 * 4)])
+def test_text_mode_prints_the_decomposition_once(capsys, monkeypatch,
+                                                 fmt, prints):
+    # the summands' texts are built only for the JSON payload
+    printed = []
+
+    def spy(x):
+        printed.append(x)
+        return print_result(x)
+    monkeypatch.setattr("meadow.cli.print_result", spy)
+    code, _, _ = run_cli(capsys, "simplify", "1/(1/x + 1/y)", "--target",
+                         "sum-of-fractions", "--format", fmt)
+    assert (code, len(printed)) == (0, prints)
 
 
 def test_cli_imports_no_private_name():
@@ -820,6 +867,15 @@ def test_undecodable_stdin_is_refused_by_the_parser():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, b"", b"error: unexpected character '\\udcff' at line 1, "
         b"column 1\n")
+
+
+def test_closed_stdin_is_refused():
+    # with file descriptor 0 closed, Python sets sys.stdin to None
+    proc = subprocess.run([sys.executable, "-m", "meadow", "parse", "-"],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: no standard input to read from\n")
 
 
 def test_normalize_has_no_basic_option(capsys):

@@ -10,12 +10,14 @@ from meadow import (
     BasicTerm, MixedSignatureError, NotRingTermError, OpenTermError,
     SignedFraction, SimpleClosedFraction, VALID,
     check_eq, closed_to_simple_fraction_q0, cr_normal, eval_term, guard,
-    is_basic_term, mk, mk_numeral, model_from_spec, parse, print_term, q0,
-    render_basic, tidy, to_basic, to_sum_of_simple_fractions,
+    is_basic_term, iter_subterms, mk, mk_numeral, model_from_spec, parse,
+    print_result, print_term, q0, tidy, to_basic, to_canonical,
+    to_sum_of_simple_fractions,
 )
 from meadow import normal_forms
-from meadow.normal_forms import render_quotient, split_reciprocal
-from meadow.polynomials import MultiPoly
+from meadow.normal_forms import split_reciprocal
+from meadow.polynomials import MultiPoly, UniPoly
+from meadow.terms import _Num
 
 from gen import random_ring_term, random_term
 
@@ -156,8 +158,8 @@ class TestIsBasicTerm:
 
 def test_render_basic():
     b = to_basic(parse("2/3"))
-    assert render_basic(b) == "2/3"
-    assert render_basic(BasicTerm(())) == "0"
+    assert print_result(b) == "2/3"
+    assert print_result(BasicTerm(())) == "0"
 
 
 def test_render_basic_is_the_printed_term(corpus_basic):
@@ -167,9 +169,9 @@ def test_render_basic_is_the_printed_term(corpus_basic):
              if sum(s.num + s.den for s in b) <= 10_000]
     assert len(small) > 900
     for b in small:
-        assert render_basic(b) == print_term(b.to_term())
+        assert print_result(b) == print_term(b.to_term())
     b = to_basic(parse("-1/2 + 1 - 3"))
-    assert render_basic(b) == print_term(b.to_term()) \
+    assert print_result(b) == print_term(b.to_term()) \
         == "-((0 + 1)/2) + (0 + 1)/(0 + 1) - 3/(0 + 1)"
 
 
@@ -182,10 +184,52 @@ def test_render_quotient_is_the_printed_term(corpus):
     pinned = [SimpleClosedFraction.from_fraction(Fraction(v)) for v in
               (0, 1, -1, 5, -5, Fraction(1, 7), Fraction(-1, 7))]
     for f in small + pinned:
-        assert render_quotient(f.sign * f.num, f.den) == print_term(f.to_term())
-    assert [render_quotient(f.sign * f.num, f.den) for f in pinned] == [
+        assert print_result(f) == print_term(f.to_term())
+    assert [print_result(f) for f in pinned] == [
         "0/(0 + 1)", "(0 + 1)/(0 + 1)", "-(0 + 1)/(0 + 1)", "5/(0 + 1)",
         "-5/(0 + 1)", "(0 + 1)/7", "-(0 + 1)/7"]
+
+
+def test_printed_polynomials_are_the_printed_terms():
+    # canonical polynomials of random ring terms in x, then coefficients
+    # of every sign, 1 and -1 included, at every position
+    rng = random.Random(2718)
+    polys = [to_canonical(random_ring_term(rng, 5, names=("x",)), "x")
+             for _ in range(300)]
+    assert sum(abs(c) > 1 for f in polys for c in f.coeffs) > 300
+    polys += [UniPoly.make("x", cs) for cs in (
+        [], [1], [-1], [0, 1], [0, -1], [-7, 0, 1], [1, -1, 12, -1, -30])]
+    for f in polys:
+        assert print_result(f) == print_term(f.to_term())
+    assert print_result(polys[-1]) == (
+        "-(30*(x*x*x*x)) - x*x*x + 12*(x*x) - x + 1")
+
+
+def test_printed_decompositions_are_the_printed_terms():
+    # the c07 corpus: each sum of fractions, and each summand's two sides
+    rng = random.Random(1400)
+    for _ in range(200):
+        s = to_sum_of_simple_fractions(random_term(rng, 6,
+                                                   names=("x", "y", "z")))
+        assert print_result(s) == print_term(s.to_term())
+        for poly in (p for summand in s for p in summand):
+            assert print_result(poly) == print_term(poly.to_term())
+
+
+def test_only_printing_builds_the_integer_leaf():
+    # the library's terms, and so the benchmark's, spell numeral chains
+    results = [
+        SignedFraction(-1, 3, 2), to_basic(parse("1/2 - 3/4")),
+        SimpleClosedFraction(-1, 5, 3), to_canonical(parse("(x - 2)^3"), "x"),
+        MultiPoly.from_dict({(("x", 2), ("y", 1)): -6, (): 4}),
+        to_sum_of_simple_fractions(parse("3/(x - 2) + 5/(1/y + 4)")),
+    ]
+    terms = [r.to_term() for r in results] + [parse("12/(x - 3)^2 + 7")]
+    assert not any(isinstance(node, _Num)
+                   for t in terms for node in iter_subterms(t))
+    assert all(any(isinstance(node, _Num)
+                   for node in iter_subterms(r.to_term(numeral=_Num)))
+               for r in results)
 
 
 def _digest(data) -> str:

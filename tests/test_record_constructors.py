@@ -19,7 +19,7 @@ from meadow import (
     ExponentPair, Inv, MultiPoly, Mul, Neg, ONE, Sampled, SignedFraction,
     SimpleClosedFraction, SumOfSimpleFractions, Term, UniPoly, Var, ZERO,
 )
-from meadow.terms import _Record
+from meadow.terms import _Num, _Record
 
 x = Var("x")
 
@@ -32,6 +32,7 @@ SAMPLES = [
     MultiPoly.variable("x"), SimpleClosedFraction(-1, 2, 3),
     ExponentPair(3, 1),
     SumOfSimpleFractions(((MultiPoly.constant(1), MultiPoly.variable("x")),)),
+    _Num(2 ** 40),
 ]
 
 

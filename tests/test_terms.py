@@ -57,6 +57,18 @@ def test_identity_tells_a_variable_from_a_numeral():
     assert hash(Mul(mk_numeral(-2), x)) == hash(parse("-2*x"))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, -1, -7, 2 ** 40])
+def test_integer_leaf_is_planned_as_its_numeral(n):
+    # one leaf keyed by its integer, folded as mk_numeral(n) folds
+    leaf = terms._Num(n)
+    assert fold(leaf, lambda node, k: (node, k), {}) == (leaf, n)
+    assert numeral_value(leaf) == n
+    if abs(n) < 100:
+        x = Var("x")
+        assert Mul(leaf, x) == Mul(mk_numeral(n), x)
+        assert print_term(Mul(x, leaf)) == print_term(Mul(x, mk_numeral(n)))
+
+
 def test_pickles_and_copies_store_each_distinct_node_once():
     x = Var("x")
     t = parse("x^3000 + 2/(x + 1)")
